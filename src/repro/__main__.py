@@ -1,8 +1,6 @@
 """``python -m repro`` — dispatch to the command-line interface."""
 
-import sys
-
-from repro.cli import main
+from repro.cli import console_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

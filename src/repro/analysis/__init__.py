@@ -1,78 +1,48 @@
 """Analytical machinery: the paper's bounds, proof gadgets, and curve fitting."""
 
-from repro.analysis.balls_in_bins import (
-    lemma2_holds,
-    lemma2_lower_bound,
-    no_singleton_probability_exact,
-    no_singleton_probability_monte_carlo,
-)
-from repro.analysis.bounds import (
-    good_samaritan_adaptive_bound,
-    good_samaritan_worst_case_bound,
-    theorem1_lower_bound,
-    theorem4_lower_bound,
-    theorem5_lower_bound,
-    trapdoor_upper_bound,
-    upper_to_lower_gap,
-)
-from repro.analysis.fitting import ConstantFit, crossover_index, fit_constant, monotonically_increasing
-from repro.analysis.good_probability import (
-    claim3_column_exponents,
-    claim3_holds,
-    good_population_exponents,
-    goodness_threshold,
-    is_good,
-    optimal_broadcast_probability,
-    success_probability,
-)
-from repro.analysis.scaling import PowerLawFit, doubling_ratios, fit_power_law, growth_factor
-from repro.analysis.statistics import SampleSummary, geometric_mean, percentile, summarize
-from repro.analysis.two_node_game import (
-    DisruptionChoice,
-    best_protocol_meeting_probability,
-    best_protocol_meeting_probability_bruteforce,
-    expected_rounds_to_meet,
-    optimal_disruption,
-    per_round_escape_probability,
-    rounds_lower_bound,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "lemma2_holds",
-    "lemma2_lower_bound",
-    "no_singleton_probability_exact",
-    "no_singleton_probability_monte_carlo",
-    "good_samaritan_adaptive_bound",
-    "good_samaritan_worst_case_bound",
-    "theorem1_lower_bound",
-    "theorem4_lower_bound",
-    "theorem5_lower_bound",
-    "trapdoor_upper_bound",
-    "upper_to_lower_gap",
-    "ConstantFit",
-    "crossover_index",
-    "fit_constant",
-    "monotonically_increasing",
-    "claim3_column_exponents",
-    "claim3_holds",
-    "good_population_exponents",
-    "goodness_threshold",
-    "is_good",
-    "optimal_broadcast_probability",
-    "success_probability",
-    "PowerLawFit",
-    "doubling_ratios",
-    "fit_power_law",
-    "growth_factor",
-    "SampleSummary",
-    "geometric_mean",
-    "percentile",
-    "summarize",
-    "DisruptionChoice",
-    "best_protocol_meeting_probability",
-    "best_protocol_meeting_probability_bruteforce",
-    "expected_rounds_to_meet",
-    "optimal_disruption",
-    "per_round_escape_probability",
-    "rounds_lower_bound",
-]
+#: Every public name, mapped to the module that defines it (imported on
+#: first access; see :mod:`repro._lazy`).
+_EXPORTS = {
+    "lemma2_holds": "repro.analysis.balls_in_bins",
+    "lemma2_lower_bound": "repro.analysis.balls_in_bins",
+    "no_singleton_probability_exact": "repro.analysis.balls_in_bins",
+    "no_singleton_probability_monte_carlo": "repro.analysis.balls_in_bins",
+    "good_samaritan_adaptive_bound": "repro.analysis.bounds",
+    "good_samaritan_worst_case_bound": "repro.analysis.bounds",
+    "theorem1_lower_bound": "repro.analysis.bounds",
+    "theorem4_lower_bound": "repro.analysis.bounds",
+    "theorem5_lower_bound": "repro.analysis.bounds",
+    "trapdoor_upper_bound": "repro.analysis.bounds",
+    "upper_to_lower_gap": "repro.analysis.bounds",
+    "ConstantFit": "repro.analysis.fitting",
+    "crossover_index": "repro.analysis.fitting",
+    "fit_constant": "repro.analysis.fitting",
+    "monotonically_increasing": "repro.analysis.fitting",
+    "claim3_column_exponents": "repro.analysis.good_probability",
+    "claim3_holds": "repro.analysis.good_probability",
+    "good_population_exponents": "repro.analysis.good_probability",
+    "goodness_threshold": "repro.analysis.good_probability",
+    "is_good": "repro.analysis.good_probability",
+    "optimal_broadcast_probability": "repro.analysis.good_probability",
+    "success_probability": "repro.analysis.good_probability",
+    "PowerLawFit": "repro.analysis.scaling",
+    "doubling_ratios": "repro.analysis.scaling",
+    "fit_power_law": "repro.analysis.scaling",
+    "growth_factor": "repro.analysis.scaling",
+    "SampleSummary": "repro.analysis.statistics",
+    "geometric_mean": "repro.analysis.statistics",
+    "percentile": "repro.analysis.statistics",
+    "summarize": "repro.analysis.statistics",
+    "DisruptionChoice": "repro.analysis.two_node_game",
+    "best_protocol_meeting_probability": "repro.analysis.two_node_game",
+    "best_protocol_meeting_probability_bruteforce": "repro.analysis.two_node_game",
+    "expected_rounds_to_meet": "repro.analysis.two_node_game",
+    "optimal_disruption": "repro.analysis.two_node_game",
+    "per_round_escape_probability": "repro.analysis.two_node_game",
+    "rounds_lower_bound": "repro.analysis.two_node_game",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

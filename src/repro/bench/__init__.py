@@ -15,28 +15,25 @@ artefact instead of folklore:
   (what the CI ``perf-gate`` job runs).
 """
 
-from repro.bench.harness import BenchMeasurement, BenchRun, calibration_rate, run_bench
-from repro.bench.report import (
-    BENCH_SCHEMA_VERSION,
-    bench_run_to_dict,
-    compare_bench,
-    load_bench_json,
-    write_bench_json,
-)
-from repro.bench.scenarios import BENCH_SCENARIOS, BenchScenario, ScenarioWork, ci_scenario_names
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_SCENARIOS",
-    "BENCH_SCHEMA_VERSION",
-    "BenchMeasurement",
-    "BenchRun",
-    "BenchScenario",
-    "ScenarioWork",
-    "bench_run_to_dict",
-    "calibration_rate",
-    "ci_scenario_names",
-    "compare_bench",
-    "load_bench_json",
-    "run_bench",
-    "write_bench_json",
-]
+#: Every public name, mapped to the module that defines it (imported on
+#: first access; see :mod:`repro._lazy`).
+_EXPORTS = {
+    "BenchMeasurement": "repro.bench.harness",
+    "BenchRun": "repro.bench.harness",
+    "calibration_rate": "repro.bench.harness",
+    "run_bench": "repro.bench.harness",
+    "BENCH_SCHEMA_VERSION": "repro.bench.report",
+    "bench_run_to_dict": "repro.bench.report",
+    "compare_bench": "repro.bench.report",
+    "load_bench_json": "repro.bench.report",
+    "write_bench_json": "repro.bench.report",
+    "BENCH_SCENARIOS": "repro.bench.scenarios",
+    "BenchScenario": "repro.bench.scenarios",
+    "ScenarioWork": "repro.bench.scenarios",
+    "ci_scenario_names": "repro.bench.scenarios",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

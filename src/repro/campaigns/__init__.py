@@ -16,41 +16,29 @@ The campaign subsystem gives the multi-seed trial runner a durable memory:
   the table/figure renderers consume directly.
 """
 
-from repro.campaigns.query import (
-    GROUPABLE_DIMENSIONS,
-    StoredSummary,
-    aggregate,
-    cell_rows,
-    export_campaign,
-    summary_for_cell,
-)
-from repro.campaigns.runner import CampaignProgress, CampaignRunner
-from repro.campaigns.spec import (
-    SPEC_SCHEMA_VERSION,
-    CampaignCell,
-    CampaignSpec,
-    cell_key,
-    register_workload,
-    resolve_workload,
-)
-from repro.campaigns.store import STORE_SCHEMA_VERSION, ResultStore, TrialRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GROUPABLE_DIMENSIONS",
-    "StoredSummary",
-    "aggregate",
-    "cell_rows",
-    "export_campaign",
-    "summary_for_cell",
-    "CampaignProgress",
-    "CampaignRunner",
-    "SPEC_SCHEMA_VERSION",
-    "CampaignCell",
-    "CampaignSpec",
-    "cell_key",
-    "register_workload",
-    "resolve_workload",
-    "STORE_SCHEMA_VERSION",
-    "ResultStore",
-    "TrialRecord",
-]
+#: Every public name, mapped to the module that defines it (imported on
+#: first access; see :mod:`repro._lazy`).
+_EXPORTS = {
+    "GROUPABLE_DIMENSIONS": "repro.campaigns.query",
+    "StoredSummary": "repro.campaigns.query",
+    "aggregate": "repro.campaigns.query",
+    "cell_rows": "repro.campaigns.query",
+    "export_campaign": "repro.campaigns.query",
+    "summary_for_cell": "repro.campaigns.query",
+    "CampaignProgress": "repro.campaigns.runner",
+    "CampaignRunner": "repro.campaigns.runner",
+    "SPEC_SCHEMA_VERSION": "repro.campaigns.spec",
+    "CampaignCell": "repro.campaigns.spec",
+    "CampaignSpec": "repro.campaigns.spec",
+    "cell_key": "repro.campaigns.spec",
+    "register_workload": "repro.campaigns.spec",
+    "resolve_workload": "repro.campaigns.spec",
+    "STORE_SCHEMA_VERSION": "repro.campaigns.store",
+    "ResultStore": "repro.campaigns.store",
+    "TrialRecord": "repro.campaigns.store",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -42,60 +42,37 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
+# The module-level imports are what the argument parser needs plus what those
+# modules load anyway (the engine, protocols, adversaries, store, telemetry).
+# Anything only one command uses is imported inside its handler, so
+# `campaign run` never loads the service, the bench, the live monitor, the
+# search runner, or numpy (see the README's start-up note).
 from repro.adversary.registry import ADVERSARY_FACTORIES
-from repro.analysis.bounds import (
-    good_samaritan_adaptive_bound,
-    good_samaritan_worst_case_bound,
-    theorem1_lower_bound,
-    theorem4_lower_bound,
-    theorem5_lower_bound,
-    trapdoor_upper_bound,
-)
-from repro.bench.harness import run_bench
-from repro.bench.report import (
-    bench_run_to_dict,
-    compare_bench,
-    comparison_to_dict,
-    load_bench_json,
-    write_bench_json,
-)
-from repro.bench.scenarios import BENCH_SCENARIOS, resolve_scenarios
-from repro.campaigns.query import aggregate, export_campaign
-from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CAMPAIGN_WORKLOADS, CampaignSpec, workload_with_adversary
 from repro.campaigns.store import ResultStore
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool
 from repro.engine.runner import run_trials
-from repro.engine.serialization import write_result_json, write_round_log_csv, write_trials_json
 from repro.engine.simulator import SimulationConfig, simulate
-from repro.experiments.registry import EXPERIMENTS
-from repro.faults import FaultPlan, load_fault_plan
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.tables import render_table
 from repro.experiments.workloads import SIMPLE_WORKLOADS
+from repro.faults.plan import FaultPlan, load_fault_plan
 from repro.params import ModelParameters
 from repro.protocols.good_samaritan.schedule import GoodSamaritanSchedule
 from repro.protocols.registry import PROTOCOL_FACTORIES
 from repro.protocols.trapdoor.epochs import TrapdoorSchedule
-from repro.search.checkpoint import SearchSpec, is_search_spec_json
 from repro.search.objective import OBJECTIVE_METRICS, SearchObjective
 from repro.search.optimizers import OPTIMIZERS
-from repro.exceptions import ConfigurationError
-from repro.search.runner import StrategySearch, export_search, search_status
-from repro.service import (
-    CampaignService,
-    JobRequest,
-    ServiceClient,
-    ServiceError,
-    connect_from_announce,
-)
 from repro.telemetry import Telemetry
 from repro.telemetry.events import FaultInjected, JsonlSink, RunCompleted, RunStarted
-from repro.telemetry.export import write_metrics_json, write_prometheus_text
-from repro.telemetry.monitor import RunMonitor, read_status, render_status_line
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient
+    from repro.telemetry.monitor import RunMonitor
 
 #: The named protocol registry the scenario options draw from (shared with the
 #: campaign subsystem, so a protocol name means the same thing everywhere).
@@ -385,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run.add_argument(
         "--scenarios", default="all",
         help="'all', 'ci' (the pinned perf-gate subset), or a comma-separated "
-             f"list of: {', '.join(BENCH_SCENARIOS)}",
+             "list of scenario names (an unknown name lists the known ones)",
     )
     bench_run.add_argument("--repeats", type=int, default=3,
                            help="timed repeats per scenario (the median is reported)")
@@ -571,6 +548,8 @@ def _scenario_config(args: argparse.Namespace) -> SimulationConfig:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    from repro.engine.serialization import write_result_json, write_round_log_csv
+
     config = _scenario_config(args)
     config = replace(config, seed=args.seed, trace_level=TraceLevel(args.trace_level))
     result = simulate(config)
@@ -642,6 +621,8 @@ def _monitor_from_args(
     """
     if args.monitor_port is None and args.status_file is None:
         return None
+    from repro.telemetry.monitor import RunMonitor
+
     assert telemetry is not None  # _telemetry_from_args made one for these flags
     monitor = RunMonitor(
         telemetry,
@@ -668,6 +649,8 @@ def _finish_telemetry(
     """Flush/close the event sink and write the ``--metrics-out`` snapshot."""
     if telemetry is None:
         return
+    from repro.telemetry.export import write_metrics_json, write_prometheus_text
+
     if report is None:
         # Resolved at call time, not definition time, so stdout redirection
         # (including pytest's capture) is respected.
@@ -694,6 +677,8 @@ def _plan_from_args(args: argparse.Namespace) -> ExecutionPlan:
 
 
 def _command_trials(args: argparse.Namespace) -> int:
+    from repro.engine.serialization import write_trials_json
+
     config = _scenario_config(args)
     print(f"batch     : {args.trial_count} trials, {args.workers} worker(s), "
           f"trace level {args.trace_level}")
@@ -792,17 +777,31 @@ def _command_trials(args: argparse.Namespace) -> int:
     return 0 if summary.liveness_rate == 1.0 else 1
 
 
+def _open_store(args: argparse.Namespace, *, create: bool) -> ResultStore:
+    """Open ``--store``; a read-only command refuses a path that holds no store.
+
+    Opening creates the SQLite file, so ``status`` and ``export`` check first
+    rather than leave an empty store behind a mistyped path.
+    """
+    if not create and not Path(args.store).exists():
+        raise ConfigurationError(f"no result store at {args.store}")
+    return ResultStore(args.store)
+
+
 def _command_campaign(args: argparse.Namespace) -> int:
     handlers = {
         "run": _campaign_run,
         "status": _campaign_status,
         "export": _campaign_export,
     }
-    with ResultStore(args.store) as store:
+    with _open_store(args, create=args.campaign_command == "run") as store:
         return handlers[args.campaign_command](args, store)
 
 
 def _campaign_run(args: argparse.Namespace, store: ResultStore) -> int:
+    from repro.campaigns.query import aggregate
+    from repro.campaigns.runner import CampaignRunner
+
     workloads = args.workloads
     if args.jammers:
         workloads = tuple(
@@ -867,6 +866,8 @@ def _campaign_run(args: argparse.Namespace, store: ResultStore) -> int:
 
 
 def _campaign_status(args: argparse.Namespace, store: ResultStore) -> int:
+    from repro.search.checkpoint import is_search_spec_json
+
     names = [args.name] if args.name else store.campaign_names()
     if not names:
         if args.json:
@@ -903,6 +904,8 @@ def _campaign_status(args: argparse.Namespace, store: ResultStore) -> int:
 
 
 def _campaign_export(args: argparse.Namespace, store: ResultStore) -> int:
+    from repro.campaigns.query import aggregate, export_campaign
+
     path = export_campaign(store, args.name, args.output, group_by=args.group_by)
     print(render_table(
         aggregate(store, args.name, group_by=args.group_by),
@@ -919,11 +922,14 @@ def _command_search(args: argparse.Namespace) -> int:
         "status": _search_status,
         "export": _search_export,
     }
-    with ResultStore(args.store) as store:
+    with _open_store(args, create=args.search_command == "run") as store:
         return handlers[args.search_command](args, store)
 
 
 def _search_run(args: argparse.Namespace, store: ResultStore) -> int:
+    from repro.search.checkpoint import SearchSpec
+    from repro.search.runner import StrategySearch
+
     objective = SearchObjective(
         protocol=args.protocol,
         workload=args.workload,
@@ -985,6 +991,9 @@ def _search_run(args: argparse.Namespace, store: ResultStore) -> int:
 
 
 def _search_status(args: argparse.Namespace, store: ResultStore) -> int:
+    from repro.search.checkpoint import is_search_spec_json
+    from repro.search.runner import search_status
+
     if args.name:
         names = [args.name]
     else:
@@ -1018,6 +1027,8 @@ def _search_status(args: argparse.Namespace, store: ResultStore) -> int:
 
 
 def _search_export(args: argparse.Namespace, store: ResultStore) -> int:
+    from repro.search.runner import export_search, search_status
+
     path = export_search(store, args.name, args.output, top=args.top)
     status = search_status(store, args.name)
     print(f"search    : {args.name} ({status['evaluations']} evaluations)")
@@ -1051,6 +1062,9 @@ def _command_bench(args: argparse.Namespace) -> int:
 
 
 def _bench_run(args: argparse.Namespace) -> int:
+    from repro.bench.harness import run_bench
+    from repro.bench.report import bench_run_to_dict, write_bench_json
+    from repro.bench.scenarios import resolve_scenarios
     scenarios = resolve_scenarios(args.scenarios)
     rev = args.rev if args.rev else _git_rev()
     # With --json, stdout carries the payload alone (pipe-friendly, like the
@@ -1093,6 +1107,8 @@ def _bench_run(args: argparse.Namespace) -> int:
 
 
 def _bench_compare(args: argparse.Namespace) -> int:
+    from repro.bench.report import compare_bench, comparison_to_dict, load_bench_json
+
     current_path = args.current if args.current else f"BENCH_{_git_rev()}.json"
     if not Path(current_path).exists():
         print(f"no current bench file at {current_path}; run `repro bench run` first "
@@ -1147,6 +1163,8 @@ def _monitor_watch(args: argparse.Namespace) -> int:
     ``--max-polls`` runs out first, 2 when the target never yields a valid
     snapshot.
     """
+    from repro.telemetry.monitor import read_status, render_status_line
+
     polls = 0
     seen_any = False
     while args.max_polls is None or polls < args.max_polls:
@@ -1190,6 +1208,8 @@ def _command_schedule(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    from repro.service.server import CampaignService
+
     telemetry = _telemetry_from_args(args)
     service = CampaignService(
         args.run_dir,
@@ -1236,6 +1256,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _client_connection(args: argparse.Namespace) -> ServiceClient:
+    from repro.service.client import ServiceClient, connect_from_announce
+
     if args.connect is not None:
         return connect_from_announce(
             args.connect,
@@ -1253,6 +1275,8 @@ def _client_connection(args: argparse.Namespace) -> ServiceClient:
 
 
 def _command_client(args: argparse.Namespace) -> int:
+    from repro.service.client import ServiceError
+
     try:
         with _client_connection(args) as client:
             return _client_dispatch(args, client)
@@ -1262,6 +1286,8 @@ def _command_client(args: argparse.Namespace) -> int:
 
 
 def _client_dispatch(args: argparse.Namespace, client: ServiceClient) -> int:
+    from repro.service.protocol import JobRequest
+
     command = args.client_command
     if command == "submit":
         text = sys.stdin.read() if args.request == "-" else Path(args.request).read_text()
@@ -1303,6 +1329,8 @@ def _client_dispatch(args: argparse.Namespace, client: ServiceClient) -> int:
 
 
 def _command_experiments(_args: argparse.Namespace) -> int:
+    from repro.experiments.registry import EXPERIMENTS
+
     rows = [
         {
             "id": spec.identifier,
@@ -1317,6 +1345,15 @@ def _command_experiments(_args: argparse.Namespace) -> int:
 
 
 def _command_bounds(args: argparse.Namespace) -> int:
+    from repro.analysis.bounds import (
+        good_samaritan_adaptive_bound,
+        good_samaritan_worst_case_bound,
+        theorem1_lower_bound,
+        theorem4_lower_bound,
+        theorem5_lower_bound,
+        trapdoor_upper_bound,
+    )
+
     params = _params(args)
     n, f, t = params.participant_bound, params.frequencies, params.disruption_budget
     rows = [
@@ -1351,7 +1388,11 @@ def _configure_logging(level_name: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point for ``python -m repro`` and the ``repro`` console script."""
+    """Parse ``argv``, run the command, and return its exit status.
+
+    Library errors (:class:`~repro.exceptions.ReproError`) propagate to the
+    caller; :func:`console_main` is the process entry point that reports them.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging(args.log_level)
@@ -1377,5 +1418,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     return handlers[args.command](args)
 
 
+def console_main() -> NoReturn:
+    """Entry point for ``python -m repro`` and the ``repro`` console script.
+
+    A library error becomes one ``repro: error: <message>`` line on stderr
+    and exit status 2 (argparse's status for a usage error), not a traceback.
+    """
+    try:
+        status = main()
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        status = 2
+    sys.exit(status)
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()
-    sys.exit(main())
+    console_main()

@@ -1,71 +1,42 @@
 """The synchronous round-driven simulation engine."""
 
-from repro.engine.checker import (
-    PropertyChecker,
-    PropertyReport,
-    PropertyViolation,
-    StreamingPropertyChecker,
-)
-from repro.engine.metrics import ExecutionMetrics, MetricsObserver, collect_metrics
-from repro.engine.node import NodeRuntime
-from repro.engine.observers import (
-    BaseRoundObserver,
-    RoundObserver,
-    TraceLevel,
-    TraceRecorder,
-    replay_trace,
-)
-from repro.engine.parallel import run_configs
-from repro.engine.pool import ExecutionPool, ReducedTrial, WorkerCrashError
-from repro.engine.results import SimulationResult
-from repro.engine.rng import RandomStreams, derive_seed
-from repro.engine.runner import TrialSummary, run_reduced_trials, run_trials
-from repro.engine.simulator import SimulationConfig, Simulator, simulate
-from repro.engine.trace import ExecutionTrace, RoundRecord
+from repro._lazy import lazy_exports
 
-#: Lazily exported from :mod:`repro.engine.batch` (which imports numpy); the
-#: rest of the engine stays importable without it.
-_BATCH_EXPORTS = ("batchable", "run_batch", "run_reduced_batch")
+#: Every public name, mapped to the module that defines it (imported on
+#: first access; see :mod:`repro._lazy`).
+_EXPORTS = {
+    "batchable": "repro.engine.batch",
+    "run_batch": "repro.engine.batch",
+    "run_reduced_batch": "repro.engine.batch",
+    "PropertyChecker": "repro.engine.checker",
+    "PropertyReport": "repro.engine.checker",
+    "PropertyViolation": "repro.engine.checker",
+    "StreamingPropertyChecker": "repro.engine.checker",
+    "ExecutionMetrics": "repro.engine.metrics",
+    "MetricsObserver": "repro.engine.metrics",
+    "collect_metrics": "repro.engine.metrics",
+    "NodeRuntime": "repro.engine.node",
+    "BaseRoundObserver": "repro.engine.observers",
+    "RoundObserver": "repro.engine.observers",
+    "TraceLevel": "repro.engine.observers",
+    "TraceRecorder": "repro.engine.observers",
+    "replay_trace": "repro.engine.observers",
+    "run_configs": "repro.engine.parallel",
+    "ExecutionPool": "repro.engine.pool",
+    "ReducedTrial": "repro.engine.pool",
+    "WorkerCrashError": "repro.engine.pool",
+    "SimulationResult": "repro.engine.results",
+    "RandomStreams": "repro.engine.rng",
+    "derive_seed": "repro.engine.rng",
+    "TrialSummary": "repro.engine.runner",
+    "run_reduced_trials": "repro.engine.runner",
+    "run_trials": "repro.engine.runner",
+    "SimulationConfig": "repro.engine.simulator",
+    "Simulator": "repro.engine.simulator",
+    "simulate": "repro.engine.simulator",
+    "ExecutionTrace": "repro.engine.trace",
+    "RoundRecord": "repro.engine.trace",
+}
 
-
-def __getattr__(name: str):
-    if name in _BATCH_EXPORTS:
-        from repro.engine import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "batchable",
-    "run_batch",
-    "run_reduced_batch",
-    "PropertyChecker",
-    "PropertyReport",
-    "PropertyViolation",
-    "StreamingPropertyChecker",
-    "ExecutionMetrics",
-    "MetricsObserver",
-    "collect_metrics",
-    "NodeRuntime",
-    "BaseRoundObserver",
-    "RoundObserver",
-    "TraceLevel",
-    "TraceRecorder",
-    "replay_trace",
-    "run_configs",
-    "ExecutionPool",
-    "ReducedTrial",
-    "WorkerCrashError",
-    "SimulationResult",
-    "RandomStreams",
-    "derive_seed",
-    "TrialSummary",
-    "run_reduced_trials",
-    "run_trials",
-    "SimulationConfig",
-    "Simulator",
-    "simulate",
-    "ExecutionTrace",
-    "RoundRecord",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,24 +28,25 @@ Modules
     checkpoints every evaluation, and resumes bit-identically after a kill.
 """
 
-from repro.search.checkpoint import SearchCheckpoint, SearchSpec
-from repro.search.objective import Evaluation, SearchObjective
-from repro.search.optimizers import OPTIMIZERS, make_optimizer
-from repro.search.runner import SearchResult, StrategySearch, export_search, search_status
-from repro.search.space import StrategySpace, genome_from_dict, genome_key
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Evaluation",
-    "OPTIMIZERS",
-    "SearchCheckpoint",
-    "SearchObjective",
-    "SearchResult",
-    "SearchSpec",
-    "StrategySearch",
-    "StrategySpace",
-    "export_search",
-    "genome_from_dict",
-    "genome_key",
-    "make_optimizer",
-    "search_status",
-]
+#: Every public name, mapped to the module that defines it (imported on
+#: first access; see :mod:`repro._lazy`).
+_EXPORTS = {
+    "SearchCheckpoint": "repro.search.checkpoint",
+    "SearchSpec": "repro.search.checkpoint",
+    "Evaluation": "repro.search.objective",
+    "SearchObjective": "repro.search.objective",
+    "OPTIMIZERS": "repro.search.optimizers",
+    "make_optimizer": "repro.search.optimizers",
+    "SearchResult": "repro.search.runner",
+    "StrategySearch": "repro.search.runner",
+    "export_search": "repro.search.runner",
+    "search_status": "repro.search.runner",
+    "StrategySpace": "repro.search.space",
+    "genome_from_dict": "repro.search.space",
+    "genome_key": "repro.search.space",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,24 +11,26 @@ One public surface, three layers:
   the ``repro client`` CLI and tests drive.
 """
 
-from repro.service.client import ServiceClient, ServiceError, connect_from_announce, read_announce
-from repro.service.jobs import AdmissionError, Job, JobCancelled, JobQueue, JobState
-from repro.service.protocol import JOB_KINDS, JOB_SCHEMA, JobRequest
-from repro.service.server import SERVICE_SCHEMA, CampaignService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionError",
-    "CampaignService",
-    "Job",
-    "JobCancelled",
-    "JobQueue",
-    "JobRequest",
-    "JobState",
-    "JOB_KINDS",
-    "JOB_SCHEMA",
-    "SERVICE_SCHEMA",
-    "ServiceClient",
-    "ServiceError",
-    "connect_from_announce",
-    "read_announce",
-]
+#: Every public name, mapped to the module that defines it (imported on
+#: first access; see :mod:`repro._lazy`).
+_EXPORTS = {
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "connect_from_announce": "repro.service.client",
+    "read_announce": "repro.service.client",
+    "AdmissionError": "repro.service.jobs",
+    "Job": "repro.service.jobs",
+    "JobCancelled": "repro.service.jobs",
+    "JobQueue": "repro.service.jobs",
+    "JobState": "repro.service.jobs",
+    "JobRequest": "repro.service.protocol",
+    "JOB_KINDS": "repro.service.protocol",
+    "JOB_SCHEMA": "repro.service.protocol",
+    "CampaignService": "repro.service.server",
+    "SERVICE_SCHEMA": "repro.service.server",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,7 +254,12 @@ class TestCampaignCommands:
         assert "2/2 cells complete (1 executed now, 1 reused, 0 remaining)" in second
 
     def test_status_on_empty_store_fails(self, tmp_path, capsys):
-        assert main(["campaign", "status", "--store", str(tmp_path / "empty.db")]) == 1
+        from repro.campaigns.store import ResultStore
+
+        store = str(tmp_path / "empty.db")
+        with ResultStore(store):
+            pass
+        assert main(["campaign", "status", "--store", store]) == 1
         assert "no campaigns" in capsys.readouterr().out
 
 
@@ -327,3 +336,58 @@ class TestFaultsFlag:
                     "--faults", str(bad),
                 ]
             )
+
+
+class TestReadOnlyCommands:
+    """Inspection commands read a store; they never create one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "status", "--json"],
+            ["campaign", "export", "--output", "out.json"],
+            ["search", "status", "--json"],
+            ["search", "export", "--output", "out.json"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_missing_store_is_an_error_and_leaves_no_file(self, tmp_path, monkeypatch, argv):
+        from repro.exceptions import ConfigurationError
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError, match="no result store at missing.db"):
+            main([*argv, "--store", "missing.db"])
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestProcessEntryPoint:
+    """``python -m repro`` reports library errors in one line, exit status 2."""
+
+    def _run(self, tmp_path, *argv):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=300, check=False, cwd=tmp_path, env=env,
+        )
+
+    def test_missing_store(self, tmp_path):
+        completed = self._run(tmp_path, "campaign", "status", "--store", "missing.db", "--json")
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert completed.stderr == "repro: error: no result store at missing.db\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_campaign_has_no_traceback(self, tmp_path):
+        store = str(tmp_path / "campaign.db")
+        assert main(["campaign", "run", "--store", store, "--name", "demo",
+                     *TestCampaignCommands.GRID, "--max-cells", "0"]) == 0
+        completed = self._run(
+            tmp_path, "campaign", "export", "--store", store, "--name", "nosuch",
+            "--output", "out.json",
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("repro: error: ")
+        assert completed.stderr.count("\n") == 1
+        assert "Traceback" not in completed.stderr

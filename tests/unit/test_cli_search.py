@@ -91,7 +91,12 @@ class TestSearchRun:
         assert "hill-climb" in output
 
     def test_search_status_on_an_empty_store_fails(self, tmp_path, capsys):
-        exit_code = main(["search", "status", "--store", str(tmp_path / "empty.db")])
+        from repro.campaigns.store import ResultStore
+
+        store = str(tmp_path / "empty.db")
+        with ResultStore(store):
+            pass
+        exit_code = main(["search", "status", "--store", store])
         assert exit_code == 1
         assert "no searches" in capsys.readouterr().out
 
@@ -166,7 +171,12 @@ class TestCampaignSurfaces:
         assert "cli-search" in capsys.readouterr().out
 
     def test_campaign_status_json_on_an_empty_store_fails(self, tmp_path, capsys):
-        exit_code = main(["campaign", "status", "--json", "--store", str(tmp_path / "none.db")])
+        from repro.campaigns.store import ResultStore
+
+        store = str(tmp_path / "none.db")
+        with ResultStore(store):
+            pass
+        exit_code = main(["campaign", "status", "--json", "--store", store])
         document = json.loads(capsys.readouterr().out)
         assert exit_code == 1
         assert document["campaigns"] == []
