@@ -8,7 +8,8 @@ resumes exactly where it stopped, and — because every execution derives all
 randomness from its own seed — the resumed results are bit-identical to an
 uninterrupted run.
 
-With ``workers > 1`` (or an explicit ``pool=``) the runner batches *every
+With ``workers > 1`` (or an explicit ``pool=``, or ``workers="auto"`` once
+the first cell has shown that a pool pays) the runner batches *every
 pending cell's* trials onto one persistent
 :class:`~repro.engine.pool.ExecutionPool`: work is dispatched in chunks
 (template-and-delta pickling), workers reduce each trial to the scalars the
@@ -119,6 +120,9 @@ class CampaignRunner:
         :class:`~repro.engine.pool.ExecutionPool` for its whole lifetime
         (all ``run`` invocations included) and batch every pending cell onto
         it with the plan's chunk size; a serial plan executes in-process.
+        An ``auto`` plan runs the first pending cell serially, times it,
+        and hands the rest of the grid to a pool when
+        :func:`~repro.engine.plan.choose_workers` says that pays.
         ``plan.batch`` routes batchable cells through the vectorized
         lockstep kernel with transparent scalar fallback.  No plan ever
         changes the stored rows — they are bit-identical on every path.
@@ -286,9 +290,18 @@ class CampaignRunner:
             )
 
         with self._telemetry.span("campaign.run", campaign=self._spec.name):
+            executed = 0
+            if self._pool is None and self._plan.auto and to_run:
+                executed = self._run_first_and_settle(to_run, progress_after, on_cell)
+                to_run = to_run[executed:]
+            base = executed
+
+            def progress_rest(count: int) -> CampaignProgress:
+                return progress_after(base + count)
+
             if self._pool is not None and len(to_run) > 1:
                 if payload_is_picklable(self._cell_template(to_run[0])):
-                    executed = self._run_batched(to_run, progress_after, on_cell)
+                    executed += self._run_batched(to_run, progress_rest, on_cell)
                 else:
                     # An unpicklable grid (closure-built workload parts) cannot
                     # reach the workers.  Degrade to the fully serial path — one
@@ -297,9 +310,9 @@ class CampaignRunner:
                     # letting the batched submission loop execute everything
                     # eagerly in-process with every commit deferred to the end.
                     warn_serial_fallback(stacklevel=2, telemetry=self._telemetry)
-                    executed = self._run_serial(to_run, progress_after, on_cell, pool=None)
+                    executed += self._run_serial(to_run, progress_rest, on_cell, pool=None)
             else:
-                executed = self._run_serial(to_run, progress_after, on_cell, pool=self._pool)
+                executed += self._run_serial(to_run, progress_rest, on_cell, pool=self._pool)
 
         seconds = time.perf_counter() - started
         rate = executed / seconds if seconds > 0 else 0.0
@@ -378,6 +391,39 @@ class CampaignRunner:
             executed += 1
             if on_cell is not None:
                 on_cell(cell, progress_after(executed))
+        return executed
+
+    def _run_first_and_settle(
+        self,
+        to_run: Sequence[CampaignCell],
+        progress_after: Callable[[int], CampaignProgress],
+        on_cell: Optional[Callable[[CampaignCell, CampaignProgress], None]],
+    ) -> int:
+        """Resolve an ``auto`` plan: run the first cell serially, then pick the path.
+
+        The measured per-trial cost of that cell, the trials and cells left,
+        and the usable cores go through
+        :func:`~repro.engine.plan.choose_workers`; when it picks a pool, the
+        runner starts (and from then on owns) one for the remaining cells —
+        and every later ``run`` of this runner.  An unpicklable grid stays
+        serial without the fallback warning: nothing asked for workers.
+        """
+        started = time.perf_counter()
+        executed = self._run_serial(to_run[:1], progress_after, on_cell)
+        per_trial_s = (time.perf_counter() - started) / max(1, len(to_run[0].seeds))
+        rest = to_run[1:]
+        settled = self._plan.settle(
+            per_trial_s,
+            remaining_trials=sum(len(cell.seeds) for cell in rest),
+            parallel_units=len(rest),
+        )
+        logger.info(
+            "campaign %s: %.4f s/trial measured, %d cells left; %s",
+            self._spec.name, per_trial_s, len(rest), settled.describe(),
+        )
+        if settled.parallel and payload_is_picklable(self._cell_template(rest[0])):
+            self._pool = settled.pool(telemetry=self._telemetry)
+            self._owns_pool = True
         return executed
 
     def _run_batched(

@@ -53,9 +53,8 @@ from repro.adversary.registry import ADVERSARY_FACTORIES
 from repro.campaigns.spec import CAMPAIGN_WORKLOADS, CampaignSpec, workload_with_adversary
 from repro.campaigns.store import ResultStore
 from repro.engine.observers import TraceLevel
-from repro.engine.plan import ExecutionPlan
-from repro.engine.pool import ExecutionPool
-from repro.engine.runner import run_trials
+from repro.engine.plan import AUTO, ExecutionPlan
+from repro.engine.runner import TrialSummary, run_trials
 from repro.engine.simulator import SimulationConfig, simulate
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.tables import render_table
@@ -100,6 +99,27 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
     return values
+
+
+def _workers(text: str) -> int | str:
+    """Parse ``--workers``: a positive worker count or ``auto`` (argparse ``type=``)."""
+    if text == AUTO:
+        return AUTO
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer or {AUTO!r}, got {text!r}")
+    return workers
+
+
+#: Shared tail of the ``--workers`` help on every command that accepts ``auto``.
+_AUTO_HELP = (
+    "; 'auto' (the default) runs the first {unit} serially and moves the rest onto "
+    "a pool of up to one worker per usable core when its measured cost beats "
+    "pool start-up; 1 forces serial (--batch alone stays serial)"
+)
 
 
 def observability_options(include_monitor: bool = True) -> argparse.ArgumentParser:
@@ -208,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trials.add_argument("--trials", type=int, default=10, dest="trial_count",
                         help="number of seeds to run (0 .. k-1)")
-    trials.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the batch (1 = serial)")
+    trials.add_argument("--workers", type=_workers, default=AUTO,
+                        help="worker processes for the batch" + _AUTO_HELP.format(unit="seed"))
     trials.add_argument("--pool-chunk", type=int, default=None,
                         help="seeds per dispatched pool chunk (default: automatic)")
     trials.add_argument("--batch", action="store_true",
@@ -257,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="inject this fault plan into every cell of the grid "
                                "(part of each cell's identity — fault-free cells "
                                "stay separately resumable)")
-    camp_run.add_argument("--workers", type=int, default=1,
+    camp_run.add_argument("--workers", type=_workers, default=AUTO,
                           help="worker processes on the campaign's persistent execution "
-                               "pool (1 = serial)")
+                               "pool" + _AUTO_HELP.format(unit="pending cell"))
     camp_run.add_argument("--pool-chunk", type=int, default=None,
                           help="trials per dispatched pool chunk (default: automatic)")
     camp_run.add_argument("--batch", action="store_true",
@@ -322,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="the one seed all proposal randomness derives from")
     srch_run.add_argument("--no-warm-start", action="store_true",
                           help="skip seeding generation 0 with the hand-written jammers")
-    srch_run.add_argument("--workers", type=int, default=1,
+    srch_run.add_argument("--workers", type=_workers, default=AUTO,
                           help="worker processes on the search's persistent execution "
-                               "pool (1 = serial)")
+                               "pool" + _AUTO_HELP.format(unit="live evaluation"))
     srch_run.add_argument("--pool-chunk", type=int, default=None,
                           help="seeds per dispatched pool chunk (default: automatic)")
     srch_run.add_argument("--batch", action="store_true",
@@ -680,7 +700,8 @@ def _command_trials(args: argparse.Namespace) -> int:
     from repro.engine.serialization import write_trials_json
 
     config = _scenario_config(args)
-    print(f"batch     : {args.trial_count} trials, {args.workers} worker(s), "
+    plan = _plan_from_args(args)
+    print(f"batch     : {args.trial_count} trials, {plan.describe()}, "
           f"trace level {args.trace_level}")
     telemetry = _telemetry_from_args(args)
     monitor = _monitor_from_args(
@@ -696,33 +717,37 @@ def _command_trials(args: argparse.Namespace) -> int:
                 protocol=args.protocol,
                 workload=args.workload,
                 trials=args.trial_count,
-                workers=args.workers,
+                workers=plan.worker_count,
                 batch=args.batch,
             )
         )
     started = time.perf_counter()
-    plan = _plan_from_args(args)
+    trace_level = TraceLevel(args.trace_level)
+    seeds = tuple(range(args.trial_count))
+    head = None
     try:
-        if plan.parallel:
-            # Chunked dispatch on a pool (torn down right after — one-shot CLI
-            # calls have nothing to persist a pool across).  Built explicitly
-            # rather than via plan.pool() so the pool sees the telemetry handle.
-            with ExecutionPool(
-                plan.workers, chunk_size=plan.pool_chunk, telemetry=telemetry
-            ) as pool:
-                summary = run_trials(
-                    config,
-                    seeds=args.trial_count,
-                    trace_level=TraceLevel(args.trace_level),
-                    pool=pool,
-                    plan=plan.serial(),
-                )
-        else:
+        if plan.auto and not plan.batch and len(seeds) > 1:
+            # Time seed 0 serially, then let the plan pick the path for the rest
+            # (auto never pools batch work, so --batch keeps its one kernel call).
+            head = run_trials(config, seeds=seeds[:1], trace_level=trace_level, plan=plan.serial())
+            seeds = seeds[1:]
+            plan = plan.settle(
+                time.perf_counter() - started,
+                remaining_trials=len(seeds),
+                parallel_units=len(seeds),
+            )
+        # A pool here is one-shot: a CLI call has nothing to persist it across.
+        pool = plan.pool(telemetry=telemetry)
+        try:
             summary = run_trials(
-                config,
-                seeds=args.trial_count,
-                trace_level=TraceLevel(args.trace_level),
-                plan=plan,
+                config, seeds=seeds, trace_level=trace_level, pool=pool, plan=plan.serial()
+            )
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        if head is not None:
+            summary = TrialSummary(
+                results=head.results + summary.results, seeds=head.seeds + summary.seeds
             )
         if telemetry is not None:
             if config.faults is not None:

@@ -296,7 +296,8 @@ class ExecutionPool:
     chunk_size:
         Seeds (or configs) per dispatched chunk.  ``None`` picks a size that
         spreads a batch over roughly ``4 × workers`` chunks — large enough to
-        amortize the template pickle, small enough to keep every worker busy.
+        amortize the template pickle, small enough to keep every worker busy
+        — or over ``workers`` chunks for the batch kernel (see :meth:`chunk`).
     crash_retries:
         How many times :meth:`run_seeds` / :meth:`run_configs` re-dispatch a
         chunk whose worker process crashed before letting the
@@ -445,13 +446,20 @@ class ExecutionPool:
 
     # -- chunking ---------------------------------------------------------
 
-    def chunk(self, items: Sequence) -> list[tuple]:
-        """Split a batch into the chunks one dispatch would use, in order."""
+    def chunk(self, items: Sequence, batch: bool = False) -> list[tuple]:
+        """Split a batch into the chunks one dispatch would use, in order.
+
+        Without an explicit ``chunk_size``, scalar work goes out as ~4 chunks
+        per worker, which balances pickling amortization against tail latency
+        (the last chunks land on whichever worker frees up).  Batch-kernel
+        work goes out as one chunk per worker: the lockstep kernel amortizes
+        its per-round cost over a chunk's seeds, so splitting finer only
+        multiplies that cost.
+        """
         size = self._chunk_size
         if size is None:
-            # ~4 chunks per worker balances pickling amortization against
-            # tail latency (the last chunks land on whichever worker frees up).
-            size = max(1, -(-len(items) // (self._workers * 4)))
+            per_worker = 1 if batch else 4
+            size = max(1, -(-len(items) // (self._workers * per_worker)))
         return [tuple(items[start : start + size]) for start in range(0, len(items), size)]
 
     # -- dispatch ---------------------------------------------------------
@@ -480,7 +488,7 @@ class ExecutionPool:
         kernel in its worker (scalar fallback for non-batchable templates);
         results are still bit-identical, chunk and seed order unchanged.
         """
-        chunks = self.chunk(list(seeds))
+        chunks = self.chunk(list(seeds), batch=batch)
         self._metric_trials.inc(len(seeds))
         self._metric_chunks.inc(len(chunks))
         (self._metric_batch_chunks if batch else self._metric_scalar_chunks).inc(len(chunks))

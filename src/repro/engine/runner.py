@@ -238,9 +238,9 @@ def run_trials(
         Deprecated — pass ``plan=ExecutionPlan(batch=True)``.
     plan:
         The :class:`~repro.engine.plan.ExecutionPlan` for the batch: worker
-        count (``1`` = serial, ``>1`` = a one-shot process pool created and
-        torn down inside this call), optional pool chunk size, and whether
-        same-template batches route through the vectorized lockstep kernel
+        count (``1`` or ``"auto"`` = serial, ``>1`` = a one-shot process pool
+        created and torn down inside this call), optional pool chunk size, and
+        whether same-template batches route through the vectorized lockstep kernel
         (:mod:`repro.engine.batch`, transparent scalar fallback; ignored when
         ``config_for_seed`` makes the batch heterogeneous).  Every execution
         derives all randomness from its own seed and results come back in
@@ -264,7 +264,7 @@ def run_trials(
     if resolved.batch and config_for_seed is None:
         template = _template_for(config, trace_level)
         if resolved.parallel:
-            with ExecutionPool(resolved.workers, chunk_size=resolved.pool_chunk) as one_shot:
+            with ExecutionPool(resolved.worker_count, chunk_size=resolved.pool_chunk) as one_shot:
                 results = one_shot.run_seeds(template, seed_list, batch=True)
             return TrialSummary(results=tuple(results), seeds=seed_list)
         from repro.engine.batch import run_batch
@@ -275,7 +275,7 @@ def run_trials(
         # one-shot pool (run_configs has no chunking knob).  Same results
         # either way — chunking only shapes dispatch.
         template = _template_for(config, trace_level)
-        with ExecutionPool(resolved.workers, chunk_size=resolved.pool_chunk) as one_shot:
+        with ExecutionPool(resolved.worker_count, chunk_size=resolved.pool_chunk) as one_shot:
             results = one_shot.run_seeds(template, seed_list)
         return TrialSummary(results=tuple(results), seeds=seed_list)
 
@@ -288,7 +288,7 @@ def run_trials(
             trial_config = config_for_seed(trial_config, seed)
         configs.append(trial_config)
 
-    results = run_configs(configs, workers=resolved.workers, pool=pool)
+    results = run_configs(configs, workers=resolved.worker_count, pool=pool)
     return TrialSummary(results=tuple(results), seeds=seed_list)
 
 
@@ -333,7 +333,7 @@ def run_reduced_trials(
     if pool is not None:
         return tuple(pool.run_seeds(template, seed_list, reduce=True, batch=resolved.batch))
     if resolved.parallel:
-        with ExecutionPool(resolved.workers, chunk_size=resolved.pool_chunk) as one_shot:
+        with ExecutionPool(resolved.worker_count, chunk_size=resolved.pool_chunk) as one_shot:
             return tuple(
                 one_shot.run_seeds(template, seed_list, reduce=True, batch=resolved.batch)
             )

@@ -86,7 +86,15 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if self._state is _State.CONTENDER and self.schedule.completed(local_round):
             self._become_leader()
 
-        frequency = rng.randint(1, self._band_width)
+        # rng.randint(1, width) without its three Python frames: CPython draws
+        # getrandbits(width.bit_length()) until the draw is below width, so the
+        # random stream (and every golden digest) is unchanged.
+        width = self._band_width
+        bits = width.bit_length()
+        draw = rng.getrandbits(bits)
+        while draw >= width:
+            draw = rng.getrandbits(bits)
+        frequency = draw + 1
 
         if self._state is _State.CONTENDER:
             probability = self.schedule.broadcast_probability(local_round)

@@ -109,8 +109,10 @@ class StrategySearch:
         and generations (instead of paying pool spin-up per candidate) with
         the plan's chunk size; ``plan.batch`` evaluates candidates on the
         vectorized lockstep kernel where their configurations are batchable
-        (scalar fallback otherwise).  No plan ever changes scores or stored
-        records.
+        (scalar fallback otherwise).  An ``auto`` plan times the first live
+        evaluation and starts that pool for the rest of the search only when
+        :func:`~repro.engine.plan.choose_workers` says it pays.  No plan ever
+        changes scores or stored records.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  The search
         emits lifecycle events (search/generation start and completion),
@@ -141,6 +143,7 @@ class StrategySearch:
         )
         self._batch = self._plan.batch
         self._owns_pool = pool is None and self._plan.parallel
+        self._settled = False
         self._telemetry = as_telemetry(telemetry)
         self._pool = self._plan.pool(telemetry=self._telemetry) if self._owns_pool else pool
         self._metric_executed = self._telemetry.counter(
@@ -173,6 +176,25 @@ class StrategySearch:
     def pool(self) -> Optional["ExecutionPool"]:
         """The execution pool live evaluations dispatch on (None = serial)."""
         return self._pool
+
+    def _settle(self, evaluation_s: float, candidates_left: int) -> None:
+        """Resolve an ``auto`` plan after the first live evaluation took ``evaluation_s``.
+
+        Candidates are evaluated one after another, so a pool can only split
+        one candidate's seeds: those are the parallel units handed to
+        :func:`~repro.engine.plan.choose_workers`.
+        """
+        self._settled = True
+        seeds = len(self._spec.objective.seeds)
+        settled = self._plan.settle(
+            evaluation_s / max(1, seeds),
+            remaining_trials=max(0, candidates_left) * seeds,
+            parallel_units=seeds,
+        )
+        logger.info("search %s: %s after the first evaluation", self._spec.name, settled.describe())
+        if settled.parallel:
+            self._pool = settled.pool(telemetry=self._telemetry)
+            self._owns_pool = True
 
     def close(self) -> None:
         """Shut down the search's own pool (a shared ``pool=`` is left alone)."""
@@ -240,19 +262,29 @@ class StrategySearch:
             generation_started = time.perf_counter()
             generation_executed = 0
             outcomes: list[CandidateOutcome] = []
-            for index, genome in enumerate(optimizer.ask(generation)):
+            candidates = optimizer.ask(generation)
+            for index, genome in enumerate(candidates):
                 key = self._checkpoint.key_for(genome)
                 records = self._checkpoint.stored_records(key)
                 if records is None:
                     if max_evaluations is not None and executed >= max_evaluations:
                         stopped = True
                         break
+                    evaluation_started = time.perf_counter()
                     with telemetry.span(
                         "search.evaluate", generation=generation, index=index
                     ):
                         evaluation = objective.evaluate(
                             genome, pool=self._pool, plan=self._plan.serial()
                         )
+                    if self._pool is None and self._plan.auto and not self._settled:
+                        # Upper bound on the live work left: every candidate
+                        # still to be proposed (cache hits will cost nothing).
+                        left = len(candidates) - index - 1
+                        left += spec.population * (spec.generations - generation)
+                        if max_evaluations is not None:
+                            left = min(left, max_evaluations - executed - 1)
+                        self._settle(time.perf_counter() - evaluation_started, left)
                     records = evaluation.records
                     self._checkpoint.record(genome, generation, key, records)
                     executed += 1

@@ -37,6 +37,11 @@ class Intent(enum.Enum):
     BROADCAST = "broadcast"
     LISTEN = "listen"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # exact — and a C slot call instead of ``Enum.__hash__``'s Python frame
+    # on every enum-keyed dict access in the round loop.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
@@ -54,6 +59,8 @@ class Role(enum.Enum):
     LEADER = "leader"
     SYNCHRONIZED = "synchronized"
     PASSIVE = "passive"
+
+    __hash__ = object.__hash__  # see Intent
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value

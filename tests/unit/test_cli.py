@@ -391,3 +391,106 @@ class TestProcessEntryPoint:
         assert completed.stderr.startswith("repro: error: ")
         assert completed.stderr.count("\n") == 1
         assert "Traceback" not in completed.stderr
+
+
+class TestAutoPath:
+    """``--workers`` defaults to ``auto``: the first piece of work runs serially
+    and is timed, the rest moves onto a pool only when that pays.  The cost
+    model's inputs are injected here, so no assertion depends on timing."""
+
+    GRID = [
+        "--protocols", "trapdoor", "--workloads", "quiet_start,crowded_cafe",
+        "-F", "4", "-t", "1", "-N", "8", "--node-counts", "2,3",
+        "--seeds", "3", "--max-rounds", "3000", "--quiet",
+    ]
+
+    @pytest.fixture
+    def pool_always_pays(self, monkeypatch):
+        import repro.engine.plan as plan_module
+
+        monkeypatch.setattr(plan_module, "usable_cores", lambda: 2)
+        monkeypatch.setattr(plan_module, "POOL_SPINUP_S", 0.0)
+
+    @pytest.fixture
+    def pool_never_pays(self, monkeypatch):
+        import repro.engine.plan as plan_module
+
+        monkeypatch.setattr(plan_module, "usable_cores", lambda: 2)
+        monkeypatch.setattr(plan_module, "POOL_SPINUP_S", float("inf"))
+
+    def _campaign(self, tmp_path, name, *extra):
+        store = tmp_path / f"{name}.db"
+        metrics = tmp_path / f"{name}-metrics.json"
+        export = tmp_path / f"{name}-export.json"
+        assert main(["campaign", "run", "--store", str(store), "--name", "grid", *self.GRID,
+                     "--metrics-out", str(metrics), *extra]) == 0
+        assert main(["campaign", "export", "--store", str(store), "--name", "grid",
+                     "--output", str(export)]) == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        return export.read_bytes(), counters
+
+    def test_workers_parser_accepts_counts_and_auto(self):
+        parser = build_parser()
+        for command in (["trials"], ["campaign", "run", "--store", "s.db"],
+                        ["search", "run", "--store", "s.db"]):
+            assert parser.parse_args(command).workers == "auto"
+            assert parser.parse_args([*command, "--workers", "3"]).workers == 3
+            assert parser.parse_args([*command, "--workers", "auto"]).workers == "auto"
+            for bad in ("0", "-2", "many"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([*command, "--workers", bad])
+
+    def test_campaign_switches_to_a_pool_mid_grid(self, tmp_path, pool_always_pays):
+        auto_export, auto_counters = self._campaign(tmp_path, "auto")
+        serial_export, serial_counters = self._campaign(tmp_path, "serial", "--workers", "1")
+        # The first of the four cells ran in-process; the other three went out
+        # as pool chunks of one seed each.
+        assert auto_counters["pool.trials_dispatched"] == 9
+        assert auto_counters["pool.chunks_dispatched"] > 0
+        assert serial_counters.get("pool.chunks_dispatched", 0) == 0
+        assert auto_export == serial_export
+
+    def test_campaign_stays_serial_when_the_pool_does_not_pay(
+        self, tmp_path, pool_never_pays
+    ):
+        auto_export, auto_counters = self._campaign(tmp_path, "auto")
+        serial_export, _ = self._campaign(tmp_path, "serial", "--workers", "1")
+        assert auto_counters.get("pool.chunks_dispatched", 0) == 0
+        assert auto_export == serial_export
+
+    def test_one_cell_grid_never_pools(self, tmp_path, pool_always_pays):
+        store = tmp_path / "one.db"
+        metrics = tmp_path / "one.json"
+        assert main(["campaign", "run", "--store", str(store), "--name", "one",
+                     "--workloads", "quiet_start", "-F", "4", "-t", "1", "-N", "8",
+                     "--node-counts", "2", "--seeds", "3", "--max-rounds", "3000",
+                     "--metrics-out", str(metrics)]) == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters.get("pool.chunks_dispatched", 0) == 0
+
+    def test_trials_switch_after_the_first_seed(self, tmp_path, pool_always_pays, capsys):
+        args = ["trials", "-N", "16", "--nodes", "3", "--workload", "crowded_cafe",
+                "--trials", "5", "--max-rounds", "3000"]
+        metrics = tmp_path / "metrics.json"
+        main([*args, "--json", str(tmp_path / "auto.json"), "--metrics-out", str(metrics)])
+        main([*args, "--json", str(tmp_path / "serial.json"), "--workers", "1"])
+        assert json.loads(metrics.read_text())["counters"]["pool.trials_dispatched"] == 4
+        assert (tmp_path / "auto.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+        assert "auto workers" in capsys.readouterr().out
+
+    def test_search_switches_after_the_first_evaluation(self, tmp_path, pool_always_pays):
+        search = ["search", "run", "--name", "hunt", "--workload", "quiet_start",
+                  "-F", "4", "-t", "1", "-N", "8", "--nodes", "2", "--seeds", "2",
+                  "--max-rounds", "2000", "--population", "2", "--generations", "1"]
+        exports = []
+        for name, extra in (("auto", []), ("serial", ["--workers", "1"])):
+            store = str(tmp_path / f"{name}.db")
+            metrics = tmp_path / f"{name}.json"
+            assert main([*search, "--store", store, "--metrics-out", str(metrics), *extra]) == 0
+            counters = json.loads(metrics.read_text())["counters"]
+            assert (counters.get("pool.chunks_dispatched", 0) > 0) == (name == "auto")
+            export = tmp_path / f"{name}-best.json"
+            assert main(["search", "export", "--store", store, "--name", "hunt",
+                         "--output", str(export)]) == 0
+            exports.append(json.loads(export.read_text()))
+        assert exports[0] == exports[1]

@@ -26,7 +26,8 @@ from repro.adversary.jammers import NoInterference
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
-from repro.engine.plan import PLAN_SCHEMA, ExecutionPlan, resolve_plan
+import repro.engine.plan as plan_module
+from repro.engine.plan import AUTO, PLAN_SCHEMA, ExecutionPlan, choose_workers, resolve_plan
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ConfigurationError
@@ -84,6 +85,9 @@ class TestExecutionPlanValue:
         [
             {"workers": 0},
             {"workers": -1},
+            {"workers": "fast"},
+            {"workers": "2"},
+            {"workers": True},
             {"pool_chunk": 0},
             {"telemetry_rotate_bytes": 0},
         ],
@@ -107,6 +111,66 @@ class TestExecutionPlanValue:
     def test_from_json_rejects_malformed_text(self):
         with pytest.raises(ConfigurationError):
             ExecutionPlan.from_json("{not json")
+
+
+class TestAutoPlan:
+    def test_auto_round_trips_through_json(self):
+        plan = ExecutionPlan(workers=AUTO, pool_chunk=2)
+        assert plan.auto and not plan.parallel and plan.worker_count == 1
+        assert json.loads(plan.to_json())["workers"] == "auto"
+        assert ExecutionPlan.from_json(plan.to_json()) == plan
+        assert plan.pool() is None
+        assert plan.describe().startswith("auto workers")
+
+    def test_library_default_stays_serial(self):
+        assert not ExecutionPlan().auto
+
+    def test_settle_resolves_only_auto(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "usable_cores", lambda: 4)
+        monkeypatch.setattr(plan_module, "POOL_SPINUP_S", 0.05)
+        auto = ExecutionPlan(workers=AUTO, pool_chunk=3)
+        assert auto.settle(0.01, remaining_trials=100, parallel_units=8) == ExecutionPlan(
+            workers=4, pool_chunk=3
+        )
+        assert auto.settle(0.01, remaining_trials=2, parallel_units=8).workers == 1
+        fixed = ExecutionPlan(workers=3)
+        assert fixed.settle(0.0, remaining_trials=0, parallel_units=0) is fixed
+
+    def test_run_trials_treats_auto_as_serial(self):
+        serial = run_trials(small_config(), seeds=3)
+        auto = run_trials(small_config(), seeds=3, plan=ExecutionPlan(workers=AUTO))
+        assert [r.max_sync_latency for r in auto.results] == [
+            r.max_sync_latency for r in serial.results
+        ]
+
+
+class TestChooseWorkers:
+    """The auto rule on injected costs, cores and work: no wall-clock timing."""
+
+    def test_tiny_grids_stay_serial(self):
+        # 3 trials at 5 ms each cost less than one pool spin-up.
+        assert choose_workers(0.005, 3, 3, cores=2, spinup_s=0.06) == 1
+
+    def test_large_grids_switch_to_a_pool(self):
+        assert choose_workers(0.07, 30, 15, cores=2, spinup_s=0.06) == 2
+
+    def test_pool_size_is_capped_by_cores_and_parallel_units(self):
+        assert choose_workers(0.07, 300, 15, cores=8, spinup_s=0.06) == 8
+        assert choose_workers(0.07, 300, 3, cores=8, spinup_s=0.06) == 3
+
+    def test_one_core_never_pools(self):
+        assert choose_workers(10.0, 10_000, 100, cores=1, spinup_s=0.06) == 1
+
+    def test_one_remaining_unit_never_pools(self):
+        assert choose_workers(10.0, 10_000, 1, cores=8, spinup_s=0.06) == 1
+        assert choose_workers(10.0, 0, 0, cores=8, spinup_s=0.06) == 1
+
+    def test_break_even_stays_serial(self):
+        assert choose_workers(0.25, 2, 6, cores=2, spinup_s=0.5) == 1
+        assert choose_workers(0.25, 3, 6, cores=2, spinup_s=0.5) == 2
+
+    def test_batch_kernel_work_never_pools(self):
+        assert choose_workers(10.0, 10_000, 100, cores=8, spinup_s=0.06, batch=True) == 1
 
 
 class TestResolvePlanShim:

@@ -82,6 +82,30 @@ class TestChunking:
         pool = ExecutionPool(workers=4)
         assert pool.chunk([1, 2]) == [(1,), (2,)]
 
+    def test_batch_kernel_chunks_are_one_per_worker(self):
+        pool = ExecutionPool(workers=2)
+        # A 6-seed cell reaches the lockstep kernel as two 3-seed batches,
+        # not six 1-seed ones.
+        assert pool.chunk(list(range(6)), batch=True) == [(0, 1, 2), (3, 4, 5)]
+        assert pool.chunk(list(range(7)), batch=True) == [(0, 1, 2, 3), (4, 5, 6)]
+        assert pool.chunk([0], batch=True) == [(0,)]
+        assert len(pool.chunk(list(range(6)))) == 6
+
+    def test_batch_kernel_chunking_honours_an_explicit_chunk_size(self):
+        pool = ExecutionPool(workers=2, chunk_size=2)
+        assert pool.chunk(list(range(6)), batch=True) == [(0, 1), (2, 3), (4, 5)]
+
+    def test_batch_dispatch_submits_one_chunk_per_worker(self, batch_config):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        with ExecutionPool(workers=2, telemetry=telemetry) as pool:
+            rows = pool.run_seeds(batch_config, range(6), reduce=True, batch=True)
+        assert rows == list(run_reduced_trials(batch_config, seeds=range(6)))
+        counters = telemetry.snapshot()["counters"]
+        assert counters["pool.batch_chunks"] == 2
+        assert counters["pool.trials_dispatched"] == 6
+
 
 class TestBitIdentity:
     def test_pooled_matches_serial_for_every_chunk_size(self, batch_config):

@@ -188,9 +188,33 @@ class TestByteIdentity:
 
 
 class TestCancelResume:
-    def test_cancel_mid_run_then_resubmit_resumes_exactly(self, tmp_path, service):
+    def test_cancel_mid_run_then_resubmit_resumes_exactly(
+        self, tmp_path, service, monkeypatch
+    ):
         """Cancel after the first committed cell; the resubmitted identical
         request completes a store equal to the uninterrupted one."""
+        import repro.service.server as server_module
+
+        released = threading.Event()
+
+        class HeldAfterFirstCommit(CampaignRunner):
+            """Stops after the first cell commit of the service's first run until
+            released: the hold sits between that commit and the job's cancel
+            check, so a cancel accepted meanwhile is seen at that boundary,
+            however fast the remaining cells would have run."""
+
+            held = False
+
+            def run(self, max_cells=None, on_cell=None):
+                def hold_then(cell, progress):
+                    if not HeldAfterFirstCommit.held:
+                        HeldAfterFirstCommit.held = True
+                        assert released.wait(timeout=60.0)
+                    on_cell(cell, progress)
+
+                return super().run(max_cells=max_cells, on_cell=hold_then)
+
+        monkeypatch.setattr(server_module, "CampaignRunner", HeldAfterFirstCommit)
         spec = campaign_spec("resumable", cells=3)
         request = JobRequest.for_campaign(spec, store="resumable.sqlite")
         with ServiceClient("127.0.0.1", service.port) as client:
@@ -198,13 +222,15 @@ class TestCancelResume:
             job_id = response["job"]
             # Cancel as soon as the first cell commits (streamed live).  A
             # watch owns its connection, so the cancel goes over a second one
-            # — exactly what `repro client cancel` does.
+            # — exactly what `repro client cancel` does.  The runner holds
+            # after that commit until the cancel has been accepted.
             cancelled_once = False
             for record in client.watch(job_id):
                 if record.get("kind") == "cell-committed" and not cancelled_once:
                     cancelled_once = True
                     with ServiceClient("127.0.0.1", service.port) as canceller:
                         canceller.cancel(job_id)
+                    released.set()
                 if record.get("final"):
                     final = record
             assert final["state"] == "cancelled"

@@ -599,6 +599,8 @@ class TestSearchInstrumentation:
 
 
 class TestCli:
+    # These pin the serial path's event stream and metrics, so they force it
+    # rather than rely on what `auto` decides on this machine.
     TRIALS_ARGS = [
         "trials",
         "--workload", "quiet_start",
@@ -606,6 +608,7 @@ class TestCli:
         "--nodes", "2",
         "--trials", "2",
         "--max-rounds", "4000",
+        "--workers", "1",
     ]
 
     def test_trials_writes_events_and_metrics(self, tmp_path, capsys):
@@ -619,6 +622,7 @@ class TestCli:
         assert kinds[0] == "run-started"
         assert kinds[-1] == "run-completed"
         assert records[0]["trials"] == 2
+        assert "chunk-dispatched" not in kinds
         snapshot = json.loads(metrics.read_text(encoding="utf-8"))
         assert snapshot["counters"]["events.run-started"] == 1
         out = capsys.readouterr().out
@@ -653,6 +657,7 @@ class TestCli:
             "--node-counts", "2,3",
             "--seeds", "2",
             "--max-rounds", "4000",
+            "--workers", "1",
         ]
         main(args + ["--quiet", "--telemetry", str(tmp_path / "c.jsonl")])
         out = capsys.readouterr().out
@@ -689,9 +694,11 @@ class TestCli:
             "--population", "2",
             "--generations", "1",
             "--metrics-out", str(metrics),
+            "--workers", "1",
         ])
         snapshot = json.loads(metrics.read_text(encoding="utf-8"))
         assert snapshot["counters"]["search.evaluations_executed"] > 0
+        assert "pool.chunks_dispatched" not in snapshot["counters"]
 
 
 class TestBenchInstrumentation:
