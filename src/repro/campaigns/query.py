@@ -221,8 +221,8 @@ def aggregate(
     group_by:
         The grid dimensions to group by, in column order; must be a subset of
         :data:`GROUPABLE_DIMENSIONS`.  Cells recorded without one of the
-        requested dimensions (e.g. harness sweeps with free-form
-        descriptions) group under ``None`` for that dimension.
+        requested dimensions (free-form descriptions) group under ``None``
+        for that dimension.
 
     Returns
     -------

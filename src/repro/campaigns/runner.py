@@ -8,39 +8,38 @@ resumes exactly where it stopped, and — because every execution derives all
 randomness from its own seed — the resumed results are bit-identical to an
 uninterrupted run.
 
-With ``workers > 1`` (or an explicit ``pool=``, or ``workers="auto"`` once
-the first cell has shown that a pool pays) the runner batches *every
-pending cell's* trials onto one persistent
-:class:`~repro.engine.pool.ExecutionPool`: work is dispatched in chunks
-(template-and-delta pickling), workers reduce each trial to the scalars the
-store persists before anything crosses the process boundary, and each cell is
-committed — atomically, exactly as in the serial path — the moment its last
-chunk completes.  One pool serves the whole run, and survives across ``run``
-invocations, so a grid of ten thousand small cells pays pool spin-up once
-instead of ten thousand times.  None of this changes results: the stored rows
-are bit-identical to a serial campaign's.
+Every pending cell is one :class:`~repro.engine.pool.WorkUnit` on the one
+execution path, :func:`~repro.engine.pool.run_units`, and the runner commits
+each cell as its rows come out, in grid order.  Serially the cells run one at
+a time.  With ``workers > 1`` (or an explicit ``pool=``, or
+``workers="auto"`` once the first cell has shown that a pool pays) every
+pending cell's trials go onto one persistent
+:class:`~repro.engine.pool.ExecutionPool` up front: work is dispatched in
+chunks (template-and-delta pickling), workers reduce each trial to the
+scalars the store persists before anything crosses the process boundary, and
+a cell commits — atomically, exactly as in the serial path — the moment it
+and every cell before it are done.  A worker crash spends the pool's retry
+budget like any other.  One pool serves the whole run, and survives across
+``run`` invocations, so a grid of ten thousand small cells pays pool spin-up
+once instead of ten thousand times.  None of this changes results: the stored
+rows are bit-identical to a serial campaign's.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import Future, as_completed
-from concurrent.futures.process import BrokenProcessPool
+
+# perfbench/trace_cli.py wraps this name; no code here uses it.
+from concurrent.futures import as_completed  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.campaigns.spec import CampaignCell, CampaignSpec
 from repro.campaigns.store import ResultStore, TrialRecord
 from repro.engine.observers import TraceLevel
-from repro.engine.plan import ExecutionPlan, resolve_plan
-from repro.engine.pool import (
-    ExecutionPool,
-    ReducedTrial,
-    payload_is_picklable,
-    warn_serial_fallback,
-)
-from repro.engine.runner import run_reduced_trials
+from repro.engine.plan import ExecutionPlan
+from repro.engine.pool import ExecutionPool, ReducedTrial, WorkUnit, run_units
 from repro.telemetry import Telemetry, as_telemetry
 from repro.telemetry.events import (
     CampaignCompleted,
@@ -98,8 +97,6 @@ class CampaignRunner:
         The declarative grid to complete.
     store:
         The persistent store holding completed cells.
-    workers:
-        Deprecated — pass ``plan=ExecutionPlan(workers=...)``.
     trace_level:
         Per-trial trace retention.  Campaign cells persist only summary
         scalars, so the default is :attr:`TraceLevel.NONE` — memory stays
@@ -110,10 +107,6 @@ class CampaignRunner:
         to share with other subsystems (e.g. one pool across several
         campaigns and a search); overrides the plan's worker count for
         dispatch.  The runner never shuts down a pool it was handed.
-    pool_chunk:
-        Deprecated — pass ``plan=ExecutionPlan(pool_chunk=...)``.
-    batch:
-        Deprecated — pass ``plan=ExecutionPlan(batch=True)``.
     plan:
         The :class:`~repro.engine.plan.ExecutionPlan` for the campaign.  A
         parallel plan makes the runner hold one persistent
@@ -143,20 +136,15 @@ class CampaignRunner:
         self,
         spec: CampaignSpec,
         store: ResultStore,
-        workers: Optional[int] = None,
         trace_level: TraceLevel = TraceLevel.NONE,
         pool: Optional[ExecutionPool] = None,
-        pool_chunk: Optional[int] = None,
-        batch: bool = False,
         telemetry: Optional[Telemetry] = None,
         *,
         plan: Optional[ExecutionPlan] = None,
     ) -> None:
         self._spec = spec
         self._store = store
-        self._plan = resolve_plan(
-            plan, api="CampaignRunner", workers=workers, pool_chunk=pool_chunk, batch=batch
-        )
+        self._plan = plan if plan is not None else ExecutionPlan()
         self._trace_level = trace_level
         self._batch = self._plan.batch
         self._telemetry = as_telemetry(telemetry)
@@ -241,9 +229,7 @@ class CampaignRunner:
         on_cell:
             Optional callback invoked after each cell commits, with the cell
             and the progress so far (used by the CLI for live status lines).
-            On the pooled path cells commit as their futures complete, so the
-            callback order may differ from grid order; the stored content
-            never does.
+            Cells commit in grid order on every path.
 
         Returns
         -------
@@ -292,27 +278,10 @@ class CampaignRunner:
         with self._telemetry.span("campaign.run", campaign=self._spec.name):
             executed = 0
             if self._pool is None and self._plan.auto and to_run:
-                executed = self._run_first_and_settle(to_run, progress_after, on_cell)
-                to_run = to_run[executed:]
-            base = executed
-
-            def progress_rest(count: int) -> CampaignProgress:
-                return progress_after(base + count)
-
-            if self._pool is not None and len(to_run) > 1:
-                if payload_is_picklable(self._cell_template(to_run[0])):
-                    executed += self._run_batched(to_run, progress_rest, on_cell)
-                else:
-                    # An unpicklable grid (closure-built workload parts) cannot
-                    # reach the workers.  Degrade to the fully serial path — one
-                    # warning, and crucially still one atomic commit per cell as
-                    # it finishes, so interrupt-resume keeps working — instead of
-                    # letting the batched submission loop execute everything
-                    # eagerly in-process with every commit deferred to the end.
-                    warn_serial_fallback(stacklevel=2, telemetry=self._telemetry)
-                    executed += self._run_serial(to_run, progress_rest, on_cell, pool=None)
-            else:
-                executed += self._run_serial(to_run, progress_rest, on_cell, pool=self._pool)
+                first_started = time.perf_counter()
+                executed = self._run_cells(to_run[:1], progress_after, on_cell, 0)
+                self._settle(to_run, time.perf_counter() - first_started)
+            executed = self._run_cells(to_run[executed:], progress_after, on_cell, executed)
 
         seconds = time.perf_counter() - started
         rate = executed / seconds if seconds > 0 else 0.0
@@ -365,52 +334,59 @@ class CampaignRunner:
                 )
             )
 
-    def _run_serial(
+    def _run_cells(
         self,
-        to_run: Sequence[CampaignCell],
+        cells: Sequence[CampaignCell],
         progress_after: Callable[[int], CampaignProgress],
         on_cell: Optional[Callable[[CampaignCell, CampaignProgress], None]],
-        pool: Optional[ExecutionPool] = None,
+        executed: int,
     ) -> int:
-        """One cell at a time, in grid order (also the single-cell pool path)."""
-        executed = 0
-        for cell in to_run:
-            cell_started = time.perf_counter()
-            with self._telemetry.span("campaign.cell", cell=cell.key):
-                with self._telemetry.span("campaign.execute"):
-                    reduced = run_reduced_trials(
-                        self._cell_template(cell),
-                        seeds=cell.seeds,
-                        trace_level=None,
-                        pool=pool,
-                        plan=self._plan.serial(),
-                    )
-                with self._telemetry.span("campaign.commit"):
+        """Run ``cells`` through the one execution path, committing each in grid order.
+
+        On a pool every cell is submitted up front (one ``campaign.dispatch``
+        span) and a cell's latency runs from submission to commit; serially
+        each cell is one ``campaign.cell`` span and its latency runs from its
+        own start.  Returns ``executed`` plus the cells committed here.
+        """
+        if not cells:
+            return executed
+        span = self._telemetry.span
+        units = (WorkUnit(self._cell_template(cell), cell.seeds) for cell in cells)
+        submitted = time.perf_counter()
+        if self._pool is not None:
+            with span("campaign.dispatch", cells=len(cells)):
+                outcomes = run_units(units, self._pool, reduce=True, batch=self._batch)
+        else:
+            outcomes = run_units(units, reduce=True, batch=self._batch)
+        for cell in cells:
+            if self._pool is not None:
+                reduced = next(outcomes)
+                with span("campaign.commit", cell=cell.key):
                     self._commit_cell(cell, reduced)
-            self._observe_commit(cell, reduced, time.perf_counter() - cell_started)
+                started = submitted
+            else:
+                started = time.perf_counter()
+                with span("campaign.cell", cell=cell.key):
+                    with span("campaign.execute"):
+                        reduced = next(outcomes)
+                    with span("campaign.commit"):
+                        self._commit_cell(cell, reduced)
+            self._observe_commit(cell, reduced, time.perf_counter() - started)
             executed += 1
             if on_cell is not None:
                 on_cell(cell, progress_after(executed))
         return executed
 
-    def _run_first_and_settle(
-        self,
-        to_run: Sequence[CampaignCell],
-        progress_after: Callable[[int], CampaignProgress],
-        on_cell: Optional[Callable[[CampaignCell, CampaignProgress], None]],
-    ) -> int:
-        """Resolve an ``auto`` plan: run the first cell serially, then pick the path.
+    def _settle(self, to_run: Sequence[CampaignCell], first_s: float) -> None:
+        """Resolve an ``auto`` plan once the first cell took ``first_s``.
 
         The measured per-trial cost of that cell, the trials and cells left,
         and the usable cores go through
         :func:`~repro.engine.plan.choose_workers`; when it picks a pool, the
         runner starts (and from then on owns) one for the remaining cells —
-        and every later ``run`` of this runner.  An unpicklable grid stays
-        serial without the fallback warning: nothing asked for workers.
+        and every later ``run`` of this runner.
         """
-        started = time.perf_counter()
-        executed = self._run_serial(to_run[:1], progress_after, on_cell)
-        per_trial_s = (time.perf_counter() - started) / max(1, len(to_run[0].seeds))
+        per_trial_s = first_s / max(1, len(to_run[0].seeds))
         rest = to_run[1:]
         settled = self._plan.settle(
             per_trial_s,
@@ -421,73 +397,6 @@ class CampaignRunner:
             "campaign %s: %.4f s/trial measured, %d cells left; %s",
             self._spec.name, per_trial_s, len(rest), settled.describe(),
         )
-        if settled.parallel and payload_is_picklable(self._cell_template(rest[0])):
+        if settled.parallel:
             self._pool = settled.pool(telemetry=self._telemetry)
             self._owns_pool = True
-        return executed
-
-    def _run_batched(
-        self,
-        to_run: Sequence[CampaignCell],
-        progress_after: Callable[[int], CampaignProgress],
-        on_cell: Optional[Callable[[CampaignCell, CampaignProgress], None]],
-    ) -> int:
-        """Every cell's chunks on one pool; commit cells as they complete.
-
-        All pending cells are submitted up front — with in-worker reduction a
-        chunk's in-flight result is a handful of scalars, so the window costs
-        O(cells) tiny futures, not O(trials) simulation results.  Chunks
-        finish in whatever order the workers produce them, but cells *commit*
-        in grid order (a cell commits the moment it and every cell before it
-        are done): the store's atomic per-cell transactions, its documented
-        insertion order, and the prefix an interrupt leaves behind are all
-        exactly the serial path's, byte for byte.  A worker crash surfaces as
-        :class:`~repro.engine.pool.WorkerCrashError` after the pool has reset
-        itself, so re-running the campaign resumes cleanly on fresh workers.
-        """
-        assert self._pool is not None
-        chunk_owner: dict[Future, tuple[int, int]] = {}
-        outstanding: list[int] = []
-        chunk_results: list[dict[int, list[ReducedTrial]]] = []
-        submitted_at: list[float] = []
-        with self._telemetry.span("campaign.dispatch", cells=len(to_run)):
-            for cell_index, cell in enumerate(to_run):
-                submitted_at.append(time.perf_counter())
-                futures = self._pool.submit_seed_chunks(
-                    self._cell_template(cell), cell.seeds, reduce=True, batch=self._batch
-                )
-                outstanding.append(len(futures))
-                chunk_results.append({})
-                for position, future in enumerate(futures):
-                    chunk_owner[future] = (cell_index, position)
-
-        executed = 0
-        for future in as_completed(chunk_owner):
-            cell_index, position = chunk_owner[future]
-            try:
-                # ingest() merges the chunk's worker stats delta into the
-                # registry and hands back the plain reduced rows.
-                chunk = self._pool.ingest(future.result())
-            except BrokenProcessPool as error:
-                raise self._pool.recover(error) from error
-            chunk_results[cell_index][position] = chunk
-            outstanding[cell_index] -= 1
-            # Commit every ready cell at the head of the grid order.
-            while executed < len(to_run) and outstanding[executed] == 0:
-                by_position = chunk_results[executed]
-                reduced = [
-                    trial for pos in sorted(by_position) for trial in by_position[pos]
-                ]
-                cell = to_run[executed]
-                with self._telemetry.span("campaign.commit", cell=cell.key):
-                    self._commit_cell(cell, reduced)
-                # Pooled cell latency: pool submission to atomic commit.
-                self._observe_commit(
-                    cell, reduced, time.perf_counter() - submitted_at[executed]
-                )
-                chunk_results[executed] = {}
-                outstanding[executed] = -1  # committed
-                executed += 1
-                if on_cell is not None:
-                    on_cell(cell, progress_after(executed))
-        return executed

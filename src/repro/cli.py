@@ -906,8 +906,8 @@ def _campaign_status(args: argparse.Namespace, store: ResultStore) -> int:
         completed = store.cell_count(name)
         total = None
         if spec_json is not None and not is_search_spec_json(spec_json):
-            # Store-backed harness sweeps and adversary searches have no
-            # declarative grid to diff against; report what has been recorded.
+            # Adversary searches have no declarative grid to diff against;
+            # report what has been recorded.
             total = len(CampaignSpec.from_json(spec_json).cells())
         entries.append({"campaign": name, "completed": completed, "total": total})
     if args.json:

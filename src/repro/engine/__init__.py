@@ -21,10 +21,11 @@ _EXPORTS = {
     "TraceLevel": "repro.engine.observers",
     "TraceRecorder": "repro.engine.observers",
     "replay_trace": "repro.engine.observers",
-    "run_configs": "repro.engine.parallel",
     "ExecutionPool": "repro.engine.pool",
     "ReducedTrial": "repro.engine.pool",
     "WorkerCrashError": "repro.engine.pool",
+    "WorkUnit": "repro.engine.pool",
+    "run_units": "repro.engine.pool",
     "SimulationResult": "repro.engine.results",
     "RandomStreams": "repro.engine.rng",
     "derive_seed": "repro.engine.rng",

@@ -1,13 +1,11 @@
-"""The session-scoped persistent execution pool.
+"""The persistent execution pool and the one execution path, :func:`run_units`.
 
-:func:`~repro.engine.parallel.run_configs` deliberately creates a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` per call: a one-shot batch
-should not leave worker processes behind.  But the workloads above it —
-campaign sweeps over thousands of small cells, adversarial search over
-thousands of candidates — call it once per cell or per candidate, and the
-per-call pool spin-up/teardown plus per-trial config pickling come to dominate
-once the simulations themselves are fast.  :class:`ExecutionPool` removes that
-orchestration tax three ways:
+Every multi-seed batch in the repository — a ``trials`` run, a campaign's
+cells, a search's candidates — reaches the engine through :func:`run_units`:
+an ordered list of :class:`WorkUnit` objects in, each unit's rows out, in
+unit order.  Without a pool the units run in-process, lazily, one per ``next()``.
+With an :class:`ExecutionPool` they go through :meth:`ExecutionPool.run`,
+which removes the orchestration tax of small simulations three ways:
 
 * **persistent workers** — the process pool is started lazily on first use and
   reused across every subsequent call (and across
@@ -27,11 +25,11 @@ changes results: a pooled/chunked/reduced batch is bit-identical to a serial
 one (the golden-equivalence suite pins this).
 
 A crashed worker (a hard ``os._exit``, an OOM kill) breaks the underlying
-executor; the pool surfaces the failure as :class:`WorkerCrashError` and
-discards the broken executor, so the *next* call transparently starts a fresh
-one — a long campaign driver can catch, log, and resume without rebuilding its
-own state.  Unpicklable work falls back to in-process serial execution with a
-warning, exactly like the one-shot path.
+executor.  Whether ``executor.submit`` or a future reports the break, the
+pool discards the broken executor and re-dispatches every chunk not yet
+drained on fresh workers, within one ``crash_retries`` budget per chunk;
+past the budget it raises :class:`WorkerCrashError`, and the *next* call
+starts fresh workers.  Unpicklable work runs in-process with a warning.
 """
 
 from __future__ import annotations
@@ -42,11 +40,10 @@ import pickle
 import signal
 import time
 import warnings
-import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.engine.results import SimulationResult
 from repro.exceptions import ConfigurationError, SimulationError
@@ -114,9 +111,8 @@ class ReducedTrial:
 def simulate_one(template: "SimulationConfig", seed: int) -> SimulationResult:
     """Run one seed of a template in-process — the unit every path executes.
 
-    Both the in-worker chunk loops below and the serial paths in
-    :mod:`repro.engine.runner` call exactly this, which is what keeps seed
-    substitution identical no matter where a trial runs.
+    Every seed chunk calls exactly this, in a worker or in-process, which is
+    what keeps seed substitution identical no matter where a trial runs.
     """
     from repro.engine.simulator import simulate
 
@@ -271,18 +267,72 @@ def warn_fault_batch_fallback(plan: object, stacklevel: int = 3) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
 
 
-def _completed_future(value: ChunkResult) -> "Future[ChunkResult]":
-    future: "Future[ChunkResult]" = Future()
-    future.set_result(value)
-    return future
+@dataclass(frozen=True, slots=True)
+class WorkUnit:
+    """One unit of ordered work: a template's seeds, or a tuple of whole configs.
+
+    With a ``template``, ``items`` are seeds substituted into it
+    (template-and-delta dispatch).  Without one, ``items`` are complete
+    :class:`~repro.engine.simulator.SimulationConfig` objects, for batches
+    that differ in more than the seed (a per-seed ``config_for_seed`` hook);
+    those always run on the scalar loop and are never reduced.
+    """
+
+    template: Optional["SimulationConfig"]
+    items: tuple
+
+    @classmethod
+    def of_configs(cls, configs: Iterable["SimulationConfig"]) -> "WorkUnit":
+        """A unit of heterogeneous configurations, run in the given order."""
+        return cls(None, tuple(configs))
+
+    @property
+    def payload(self) -> object:
+        """What has to pickle for this unit to reach a worker."""
+        return self.items if self.template is None else self.template
+
+    def call(
+        self, chunk: tuple, reduce: bool, batch: bool
+    ) -> tuple[Callable[..., ChunkResult], tuple]:
+        """The entry point and arguments that run one chunk of this unit."""
+        if self.template is None:
+            return _run_config_chunk, (chunk,)
+        return _run_seed_chunk, (self.template, chunk, reduce, batch)
+
+
+def _run_in_process(unit: WorkUnit, chunk: tuple, reduce: bool, batch: bool) -> ChunkResult:
+    fn, args = unit.call(chunk, reduce, batch)
+    return fn(*args)
+
+
+def run_units(
+    units: Iterable[WorkUnit],
+    pool: Optional["ExecutionPool"] = None,
+    *,
+    reduce: bool = False,
+    batch: bool = False,
+) -> Iterator[list]:
+    """Each unit's rows, in unit order — the one execution path.
+
+    With a ``pool`` this is :meth:`ExecutionPool.run`.  Without one the units
+    run in-process, lazily, one per ``next()``, so a caller that commits each
+    unit as it arrives keeps one commit per unit, and no ``pool.*`` metric
+    moves.  ``reduce=True`` yields :class:`ReducedTrial` rows instead of full
+    results; ``batch=True`` runs seed units on the vectorized lockstep kernel
+    where the template allows it.  No route changes the rows.
+    """
+    if pool is not None:
+        return pool.run(units, reduce=reduce, batch=batch)
+    return (list(_run_in_process(unit, unit.items, reduce, batch).rows) for unit in units)
 
 
 @dataclass(slots=True)
 class _ChunkPayload:
-    """What the pool needs to re-dispatch one chunk after a worker crash."""
+    """One dispatched chunk: how to re-run it, its live future, its retries so far."""
 
     fn: Callable[..., ChunkResult]
     args: tuple
+    future: "Future[ChunkResult]"
     attempt: int = 0
 
 
@@ -299,13 +349,11 @@ class ExecutionPool:
         amortize the template pickle, small enough to keep every worker busy
         — or over ``workers`` chunks for the batch kernel (see :meth:`chunk`).
     crash_retries:
-        How many times :meth:`run_seeds` / :meth:`run_configs` re-dispatch a
-        chunk whose worker process crashed before letting the
-        :class:`WorkerCrashError` propagate (deterministic seeds make the
-        re-run byte-identical).  ``0`` restores fail-fast.  Callers that
-        drain futures themselves (e.g. the campaign's as-completed loop)
-        keep the raise-after-:meth:`recover` contract and retry at their own
-        layer if desired.
+        How many times :meth:`run` re-dispatches a chunk whose worker process
+        crashed before letting the :class:`WorkerCrashError` propagate
+        (deterministic seeds make the re-run byte-identical).  A crash
+        reported by ``executor.submit`` and one reported by a future spend
+        the same budget.  ``0`` restores fail-fast.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  A live handle
         counts dispatched chunks/trials per execution path (scalar vs batch),
@@ -375,13 +423,6 @@ class ExecutionPool:
         # regardless of telemetry: it also sharpens WorkerCrashError messages.
         self._worker_stats: dict[int, WorkerStatsDelta] = {}
         self._worker_first_seen: dict[int, float] = {}
-        # Re-dispatch payloads keyed by in-flight future, so _gather can
-        # resubmit a chunk whose worker crashed.  Weak keys: callers that
-        # drain futures themselves (the campaign's as-completed loop) never
-        # pop entries, and must not pin their futures alive here.
-        self._chunk_payloads: "weakref.WeakKeyDictionary[Future[ChunkResult], _ChunkPayload]" = (
-            weakref.WeakKeyDictionary()
-        )
 
     # -- introspection ----------------------------------------------------
 
@@ -464,66 +505,107 @@ class ExecutionPool:
 
     # -- dispatch ---------------------------------------------------------
 
-    def submit_seed_chunks(
-        self,
-        template: "SimulationConfig",
-        seeds: Sequence[int],
-        reduce: bool = False,
-        batch: bool = False,
-    ) -> list["Future[ChunkResult]"]:
-        """Submit one template's seed batch as chunked futures, in chunk order.
+    def run(
+        self, units: Iterable[WorkUnit], reduce: bool = False, batch: bool = False
+    ) -> Iterator[list]:
+        """Submit every unit's chunks now; iterate over each unit's rows, in unit order.
 
-        Each future resolves to a :class:`ChunkResult` whose rows are in seed
-        order, so unwrapping the futures' values (via :meth:`ingest`) in
-        submission order reproduces the serial batch exactly.  An unpicklable
-        template degrades to serial in-process execution (with a warning)
-        behind already-completed futures, so callers never special-case it.
+        A unit's rows come out as soon as that unit and every unit before it
+        are done: futures are drained in submission order, so a caller that
+        commits each unit as it arrives commits in unit order, at the moment
+        its last chunk lands.  Rows within a unit are in seed (or config)
+        order, bit-identical to a serial run.
 
-        Callers that consume futures out of order (e.g. as they complete)
-        must route every result through :meth:`ingest` (so worker deltas land
-        in the registry) and :class:`WorkerCrashError` / ``BrokenProcessPool``
-        results through :meth:`recover`, or simply use :meth:`run_seeds`.
-
-        With ``batch=True`` each chunk runs through the vectorized lockstep
-        kernel in its worker (scalar fallback for non-batchable templates);
-        results are still bit-identical, chunk and seed order unchanged.
+        Every ``BrokenProcessPool`` — raised by ``executor.submit`` or by a
+        future — goes through :meth:`_retry_chunks`: the broken executor is
+        discarded and every chunk not yet drained is re-dispatched on fresh
+        workers, until one of them exhausts ``crash_retries`` and
+        :class:`WorkerCrashError` propagates.  An unpicklable unit (one
+        warning per call) runs in-process when its turn comes.
         """
-        chunks = self.chunk(list(seeds), batch=batch)
-        self._metric_trials.inc(len(seeds))
-        self._metric_chunks.inc(len(chunks))
-        (self._metric_batch_chunks if batch else self._metric_scalar_chunks).inc(len(chunks))
-        if batch and self._telemetry.enabled:
-            self._probe_batch_fallback(template)
-        if not payload_is_picklable(template):
-            warn_serial_fallback(telemetry=self._telemetry)
-            return [
-                _completed_future(_run_seed_chunk(template, chunk, reduce, batch))
-                for chunk in chunks
-            ]
-        if batch and template.faults is not None:
-            # The unpicklable path above warns from run_batch in-process
-            # instead, so each dispatch warns exactly once either way.
-            warn_fault_batch_fallback(template.faults)
-        executor = self._ensure_executor()
-        try:
-            futures = []
+        submitted: list[tuple[WorkUnit, list[tuple], Optional[list[_ChunkPayload]]]] = []
+        warned = False
+        for unit in units:
+            # Config units always run on the scalar loop.
+            batch_template = unit.template if batch else None
+            chunks = self.chunk(list(unit.items), batch=batch_template is not None)
+            self._metric_trials.inc(len(unit.items))
+            self._metric_chunks.inc(len(chunks))
+            if batch_template is not None:
+                self._metric_batch_chunks.inc(len(chunks))
+                if self._telemetry.enabled:
+                    self._probe_batch_fallback(batch_template)
+            else:
+                self._metric_scalar_chunks.inc(len(chunks))
+            if not payload_is_picklable(unit.payload):
+                if not warned:
+                    warn_serial_fallback(telemetry=self._telemetry)
+                    warned = True
+                submitted.append((unit, chunks, None))
+                continue
+            if batch_template is not None and batch_template.faults is not None:
+                # An unpicklable unit warns from run_batch in-process instead,
+                # so each unit warns exactly once either way.
+                warn_fault_batch_fallback(batch_template.faults)
+            payloads = []
             for chunk in chunks:
-                future = executor.submit(_run_seed_chunk, template, chunk, reduce, batch)
-                self._chunk_payloads[future] = _ChunkPayload(
-                    fn=_run_seed_chunk, args=(template, chunk, reduce, batch)
+                fn, args = unit.call(chunk, reduce, batch)
+                payloads.append(_ChunkPayload(fn, args, self._submit(fn, args)))
+            if self._telemetry.enabled:
+                self._observe_dispatch(
+                    payloads, chunks, reduce=reduce, batch=batch_template is not None
                 )
-                futures.append(future)
+            submitted.append((unit, chunks, payloads))
+        return self._drain(submitted, reduce, batch)
+
+    def _drain(
+        self,
+        submitted: list[tuple[WorkUnit, list[tuple], Optional[list[_ChunkPayload]]]],
+        reduce: bool,
+        batch: bool,
+    ) -> Iterator[list]:
+        pending = [payload for _unit, _chunks, payloads in submitted for payload in payloads or ()]
+        index = 0
+        try:
+            for unit, chunks, payloads in submitted:
+                rows: list = []
+                if payloads is None:
+                    for chunk in chunks:
+                        rows.extend(self.ingest(_run_in_process(unit, chunk, reduce, batch)))
+                    yield rows
+                    continue
+                stop = index + len(payloads)
+                while index < stop:
+                    try:
+                        outcome = pending[index].future.result()
+                    except BrokenProcessPool as error:
+                        self._retry_chunks(pending[index:], error)
+                        continue
+                    rows.extend(self.ingest(outcome))
+                    index += 1
+                yield rows
+        finally:
+            # A consumer that stops early (an error, an interrupt) leaves no
+            # queued chunk behind.
+            for payload in pending[index:]:
+                payload.future.cancel()
+
+    def _submit(self, fn: Callable[..., ChunkResult], args: tuple) -> "Future[ChunkResult]":
+        """Submit one chunk; a broken executor gives an already-failed future.
+
+        So a crash that ``executor.submit`` notices reaches the drain like one
+        a future reports, and spends the same retry budget.
+        """
+        try:
+            return self._ensure_executor().submit(fn, *args)
         except BrokenProcessPool as error:
-            # submit() itself raises when a worker died since the last call —
-            # route it through the same self-healing path as a mid-batch crash.
-            raise self.recover(error) from error
-        if self._telemetry.enabled:
-            self._observe_dispatch(futures, chunks, reduce=reduce, batch=batch)
-        return futures
+            future: "Future[ChunkResult]" = Future()
+            future.set_exception(error)
+            return future
 
     def _observe_dispatch(
         self,
-        futures: Sequence["Future[ChunkResult]"],
+        payloads: Sequence[_ChunkPayload],
         chunks: Sequence[tuple],
         reduce: bool,
         batch: bool,
@@ -535,9 +617,9 @@ class ExecutionPool:
         the gauge takes its own lock — and the events are emitted from the
         submitting thread in chunk order.
         """
-        for index, (future, chunk) in enumerate(zip(futures, chunks)):
+        for index, (payload, chunk) in enumerate(zip(payloads, chunks)):
             self._inflight.inc()
-            future.add_done_callback(lambda _f: self._inflight.dec())
+            payload.future.add_done_callback(lambda _f: self._inflight.dec())
             self._telemetry.emit(
                 ChunkDispatched(
                     chunk_index=index,
@@ -579,52 +661,16 @@ class ExecutionPool:
         reduce: bool = False,
         batch: bool = False,
     ) -> list:
-        """Run a multi-seed batch and return results in seed order.
-
-        With ``reduce=True`` the returned list holds :class:`ReducedTrial`
-        rows; otherwise full :class:`~repro.engine.results.SimulationResult`
-        objects.  With ``batch=True`` each chunk executes on the vectorized
-        lockstep kernel where the template allows it.  Either way the contents
-        are bit-identical to a serial run of the same template and seeds.
-        """
-        futures = self.submit_seed_chunks(template, seeds, reduce=reduce, batch=batch)
-        return self._gather(futures)
-
-    def run_configs(self, configs: Sequence["SimulationConfig"]) -> list[SimulationResult]:
-        """Run heterogeneous configurations, in input order.
-
-        The generic path for batches that differ in more than the seed (e.g. a
-        per-seed ``config_for_seed`` hook): each config is shipped whole, but
-        still in chunks and still on the persistent workers.
-        """
-        config_list = list(configs)
-        chunks = self.chunk(config_list)
-        self._metric_trials.inc(len(config_list))
-        self._metric_chunks.inc(len(chunks))
-        self._metric_scalar_chunks.inc(len(chunks))
-        if not payload_is_picklable(config_list):
-            warn_serial_fallback(telemetry=self._telemetry)
-            return self.ingest(_run_config_chunk(tuple(config_list)))
-        executor = self._ensure_executor()
-        try:
-            futures = []
-            for chunk in chunks:
-                future = executor.submit(_run_config_chunk, chunk)
-                self._chunk_payloads[future] = _ChunkPayload(fn=_run_config_chunk, args=(chunk,))
-                futures.append(future)
-        except BrokenProcessPool as error:
-            raise self.recover(error) from error
-        if self._telemetry.enabled:
-            self._observe_dispatch(futures, chunks, reduce=False, batch=False)
-        return self._gather(futures)
+        """One template's seed batch through :meth:`run`, rows in seed order."""
+        [rows] = self.run([WorkUnit(template, tuple(seeds))], reduce=reduce, batch=batch)
+        return rows
 
     def ingest(self, outcome: ChunkResult) -> list:
         """Unwrap one chunk outcome: record its worker stats, return the rows.
 
-        Every completed chunk passes through here — :meth:`_gather` for the
-        pool's own consumers, and directly for callers that hold futures
-        (the campaign's as-completed loop) — so worker deltas reach the
-        registry no matter who drains the future.  With telemetry disabled
+        Every completed chunk passes through here — pooled or run in-process
+        for an unpicklable unit — so worker deltas reach the registry on
+        every pooled route.  With telemetry disabled
         the delta still updates the pool's per-worker crash-attribution
         bookkeeping (two dict writes per chunk), but nothing else.
         """
@@ -642,57 +688,26 @@ class ExecutionPool:
         """The most recent stats delta a worker pid reported (None if unseen)."""
         return self._worker_stats.get(pid)
 
-    def _gather(self, futures: Sequence["Future[ChunkResult]"]) -> list:
-        """Drain futures in chunk order, retrying crashed chunks within budget.
-
-        A worker crash breaks the whole executor, so every not-yet-consumed
-        future fails together; all of them are re-dispatched as one group on a
-        fresh executor (rows still land in chunk order — each retry future
-        replaces its predecessor in place).  After ``crash_retries`` failed
-        attempts for the same chunk the :class:`WorkerCrashError` propagates,
-        exactly like the pre-retry behaviour with ``crash_retries=0``.
-        """
-        pending = list(futures)
-        results: list = []
-        index = 0
-        while index < len(pending):
-            future = pending[index]
-            try:
-                outcome = future.result()
-            except BrokenProcessPool as error:
-                pending[index:] = self._retry_chunks(pending[index:], error)
-                continue
-            self._chunk_payloads.pop(future, None)
-            results.extend(self.ingest(outcome))
-            index += 1
-        return results
-
     def _retry_chunks(
-        self, dead: Sequence["Future[ChunkResult]"], error: BrokenProcessPool
+        self, dead: Sequence[_ChunkPayload], error: BrokenProcessPool
     ) -> list["Future[ChunkResult]"]:
-        """Re-dispatch the chunks behind a group of crash-failed futures.
+        """Re-dispatch a group of crash-failed chunks; return their fresh futures.
 
+        A worker crash breaks the whole executor, so every chunk not yet
+        drained goes out again as one group on a fresh executor (each
+        payload's future is replaced in place, so rows still land in order).
         Raises the wrapped :class:`WorkerCrashError` when any of them has
-        exhausted its retry budget (or was submitted by a caller the pool has
-        no payload for) — :meth:`recover` runs either way, so the pool is
-        reusable after the raise.
+        exhausted ``crash_retries`` — :meth:`recover` runs either way, so the
+        pool is reusable after the raise.
         """
-        payloads = [self._chunk_payloads.pop(future, None) for future in dead]
         crash = self.recover(error)
-        if any(p is None or p.attempt >= self._crash_retries for p in payloads):
+        if any(payload.attempt >= self._crash_retries for payload in dead):
             raise crash from error
-        executor = self._ensure_executor()
-        fresh: list["Future[ChunkResult]"] = []
-        try:
-            for payload in payloads:
-                assert payload is not None  # narrowed by the budget check above
-                future = executor.submit(payload.fn, *payload.args)
-                payload.attempt += 1
-                self._chunk_payloads[future] = payload
-                fresh.append(future)
-        except BrokenProcessPool as resubmit_error:
-            raise self.recover(resubmit_error) from resubmit_error
-        attempt = max(payload.attempt for payload in payloads if payload is not None)
+        for payload in dead:
+            payload.attempt += 1
+            payload.future = self._submit(payload.fn, payload.args)
+        fresh = [payload.future for payload in dead]
+        attempt = max(payload.attempt for payload in dead)
         self._metric_chunk_retries.inc(len(fresh))
         logger.warning(
             "re-dispatching %d chunk(s) after worker crash (attempt %d of %d)",
@@ -730,8 +745,8 @@ class ExecutionPool:
     def recover(self, error: BaseException) -> WorkerCrashError:
         """Discard the broken executor and wrap ``error`` for re-raising.
 
-        Centralizes crash handling for callers that hold futures directly:
-        after this returns, the pool is reusable (the next dispatch forks
+        Every crash :meth:`_retry_chunks` handles comes through here: after
+        this returns, the pool is reusable (the next dispatch forks
         fresh workers), and the returned :class:`WorkerCrashError` explains
         what happened to whoever re-raises it.  Each identified dead worker
         gets its own :class:`~repro.telemetry.events.WorkerCrashRecovered`

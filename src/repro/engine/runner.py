@@ -4,7 +4,11 @@ The paper's guarantees are probabilistic ("with high probability"), so
 meaningful measurements run the same configuration across many seeds and
 report distributional statistics.  :func:`run_trials` does exactly that and
 returns a :class:`TrialSummary` with the latency distribution, the liveness /
-agreement success rates, and the leader-count distribution.
+agreement success rates, and the leader-count distribution;
+:func:`run_reduced_trials` keeps only the scalars campaign stores and search
+scores read.  Both run their batch as one
+:class:`~repro.engine.pool.WorkUnit` through
+:func:`~repro.engine.pool.run_units`, the one execution path.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.engine.observers import TraceLevel
-from repro.engine.parallel import run_configs
-from repro.engine.plan import ExecutionPlan, resolve_plan
-from repro.engine.pool import ExecutionPool, ReducedTrial, simulate_one
+from repro.engine.plan import ExecutionPlan
+from repro.engine.pool import ExecutionPool, ReducedTrial, WorkUnit, run_units
 from repro.engine.results import SimulationResult
 from repro.engine.simulator import SimulationConfig
 from repro.faults.plan import FaultPlan
@@ -194,14 +197,26 @@ def _template_for(config: SimulationConfig, trace_level: Optional[TraceLevel]) -
     return config if trace_level is None else replace(config, trace_level=trace_level)
 
 
+def _run_unit(
+    unit: WorkUnit, plan: Optional[ExecutionPlan], pool: Optional[ExecutionPool], reduce: bool
+) -> list:
+    """One unit's rows: on ``pool``, on a pool scoped to this call, or in-process."""
+    plan = plan or ExecutionPlan()
+    scoped = plan.pool() if pool is None else None
+    try:
+        [rows] = run_units([unit], pool or scoped, reduce=reduce, batch=plan.batch)
+    finally:
+        if scoped is not None:
+            scoped.shutdown()
+    return rows
+
+
 def run_trials(
     config: SimulationConfig,
     seeds: Sequence[int] | int = 10,
     config_for_seed: Callable[[SimulationConfig, int], SimulationConfig] | None = None,
-    workers: Optional[int] = None,
     trace_level: Optional[TraceLevel] = None,
     pool: Optional[ExecutionPool] = None,
-    batch: bool = False,
     *,
     plan: Optional[ExecutionPlan] = None,
     faults: Optional[FaultPlan] = None,
@@ -220,27 +235,20 @@ def run_trials(
         experiments that need, e.g., a freshly pre-drawn oblivious adversary
         per trial).  The hook runs in the parent process, so it does not need
         to be picklable even under a parallel plan.
-    workers:
-        Deprecated — pass ``plan=ExecutionPlan(workers=...)``.
     trace_level:
         Optional override of the configuration's
         :class:`~repro.engine.observers.TraceLevel` for the whole batch
         (heavy sweeps typically want :attr:`TraceLevel.NONE`).
     pool:
-        Optional persistent :class:`~repro.engine.pool.ExecutionPool`.  The
-        batch is dispatched in chunks onto the pool's long-lived workers
-        (shipping the shared template once per chunk), which callers with
-        many batches — campaigns, search — reuse across calls.  A live pool
+        Optional live :class:`~repro.engine.pool.ExecutionPool` to share
+        across calls (campaigns, search, the service hold one).  A live pool
         is not serializable, so it stays a separate argument from the plan
-        and wins dispatch when both are given.  Neither ``pool`` nor the
-        plan ever changes results.
-    batch:
-        Deprecated — pass ``plan=ExecutionPlan(batch=True)``.
+        and wins dispatch when both are given.
     plan:
         The :class:`~repro.engine.plan.ExecutionPlan` for the batch: worker
-        count (``1`` or ``"auto"`` = serial, ``>1`` = a one-shot process pool
-        created and torn down inside this call), optional pool chunk size, and
-        whether same-template batches route through the vectorized lockstep kernel
+        count (``1`` or ``"auto"`` = serial, ``>1`` = a pool scoped to this
+        call), optional pool chunk size, and whether same-template batches
+        route through the vectorized lockstep kernel
         (:mod:`repro.engine.batch`, transparent scalar fallback; ignored when
         ``config_for_seed`` makes the batch heterogeneous).  Every execution
         derives all randomness from its own seed and results come back in
@@ -252,43 +260,15 @@ def run_trials(
     """
     if faults is not None:
         config = replace(config, faults=faults)
-    resolved = resolve_plan(plan, api="run_trials", workers=workers, batch=batch)
     seed_list = _normalize_seeds(seeds)
-    if pool is not None and config_for_seed is None:
-        # Template-and-delta: the configs differ only by seed, so ship the
-        # template once per chunk instead of len(seeds) full configs.
-        results = pool.run_seeds(
-            _template_for(config, trace_level), seed_list, batch=resolved.batch
+    template = _template_for(config, trace_level)
+    if config_for_seed is None:
+        unit = WorkUnit(template, seed_list)
+    else:
+        unit = WorkUnit.of_configs(
+            config_for_seed(replace(template, seed=seed), seed) for seed in seed_list
         )
-        return TrialSummary(results=tuple(results), seeds=seed_list)
-    if resolved.batch and config_for_seed is None:
-        template = _template_for(config, trace_level)
-        if resolved.parallel:
-            with ExecutionPool(resolved.worker_count, chunk_size=resolved.pool_chunk) as one_shot:
-                results = one_shot.run_seeds(template, seed_list, batch=True)
-            return TrialSummary(results=tuple(results), seeds=seed_list)
-        from repro.engine.batch import run_batch
-
-        return TrialSummary(results=tuple(run_batch(template, seed_list)), seeds=seed_list)
-    if pool is None and config_for_seed is None and resolved.parallel and resolved.pool_chunk:
-        # An explicitly chunked parallel plan: honor the chunk size via a
-        # one-shot pool (run_configs has no chunking knob).  Same results
-        # either way — chunking only shapes dispatch.
-        template = _template_for(config, trace_level)
-        with ExecutionPool(resolved.worker_count, chunk_size=resolved.pool_chunk) as one_shot:
-            results = one_shot.run_seeds(template, seed_list)
-        return TrialSummary(results=tuple(results), seeds=seed_list)
-
-    configs = []
-    for seed in seed_list:
-        trial_config = replace(config, seed=seed)
-        if trace_level is not None:
-            trial_config = replace(trial_config, trace_level=trace_level)
-        if config_for_seed is not None:
-            trial_config = config_for_seed(trial_config, seed)
-        configs.append(trial_config)
-
-    results = run_configs(configs, workers=resolved.worker_count, pool=pool)
+    results = _run_unit(unit, plan, pool, reduce=False)
     return TrialSummary(results=tuple(results), seeds=seed_list)
 
 
@@ -297,7 +277,6 @@ def run_reduced_trials(
     seeds: Sequence[int] | int = 10,
     trace_level: Optional[TraceLevel] = TraceLevel.NONE,
     pool: Optional[ExecutionPool] = None,
-    batch: bool = False,
     *,
     plan: Optional[ExecutionPlan] = None,
     faults: Optional[FaultPlan] = None,
@@ -309,38 +288,19 @@ def run_reduced_trials(
     :class:`~repro.campaigns.store.TrialRecord` scalars and search scores are
     computed from them, so shipping whole
     :class:`~repro.engine.results.SimulationResult` objects (metrics maps,
-    property reports, traces) back from workers is pure overhead.  With a
-    ``pool``, the reduction happens *inside the workers* and only
+    property reports, traces) back from workers is pure overhead.  On a pool
+    the reduction happens *inside the workers* and only
     :class:`~repro.engine.pool.ReducedTrial` rows cross the process boundary;
-    serially, the same reduction runs in-process per trial, so memory stays
-    flat either way and both paths produce identical rows.
+    in-process the same reduction runs per trial, so memory stays flat
+    either way and every route produces identical rows.
 
     ``trace_level`` defaults to :attr:`TraceLevel.NONE` (summary consumers
     never read traces); pass ``None`` to keep the config's own level.
-    Execution routing comes from ``plan`` — a parallel plan without a live
-    ``pool`` runs on a one-shot pool; ``plan.batch`` routes batchable
-    templates through the vectorized lockstep kernel (scalar fallback
-    otherwise) — identical rows on every path.  ``batch=`` is the deprecated
-    spelling of ``plan=ExecutionPlan(batch=True)``.  ``faults=`` applies a
-    :class:`~repro.faults.plan.FaultPlan` to every trial, exactly as in
-    :func:`run_trials`; the rows then carry ``stabilization_rounds``.
+    ``pool`` and ``plan`` route execution exactly as in :func:`run_trials`.
+    ``faults=`` applies a :class:`~repro.faults.plan.FaultPlan` to every
+    trial; the rows then carry ``stabilization_rounds``.
     """
     if faults is not None:
         config = replace(config, faults=faults)
-    resolved = resolve_plan(plan, api="run_reduced_trials", batch=batch)
-    seed_list = _normalize_seeds(seeds)
-    template = _template_for(config, trace_level)
-    if pool is not None:
-        return tuple(pool.run_seeds(template, seed_list, reduce=True, batch=resolved.batch))
-    if resolved.parallel:
-        with ExecutionPool(resolved.worker_count, chunk_size=resolved.pool_chunk) as one_shot:
-            return tuple(
-                one_shot.run_seeds(template, seed_list, reduce=True, batch=resolved.batch)
-            )
-    if resolved.batch:
-        from repro.engine.batch import run_reduced_batch
-
-        return tuple(run_reduced_batch(template, seed_list))
-    return tuple(
-        ReducedTrial.from_result(seed, simulate_one(template, seed)) for seed in seed_list
-    )
+    unit = WorkUnit(_template_for(config, trace_level), _normalize_seeds(seeds))
+    return tuple(_run_unit(unit, plan, pool, reduce=True))

@@ -1,4 +1,4 @@
-"""Experiment harness, workloads, and the paper-artefact registry."""
+"""Workloads, table and figure rendering, and the paper-artefact registry."""
 
 from repro._lazy import lazy_exports
 
@@ -7,16 +7,10 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "render_bars": "repro.experiments.figures",
     "render_multi_series": "repro.experiments.figures",
-    "ExperimentHarness": "repro.experiments.harness",
-    "SweepPoint": "repro.experiments.harness",
-    "SweepResult": "repro.experiments.harness",
     "EXPERIMENTS": "repro.experiments.registry",
     "ExperimentSpec": "repro.experiments.registry",
     "experiment_ids": "repro.experiments.registry",
     "get_experiment": "repro.experiments.registry",
-    "ExperimentReport": "repro.experiments.report",
-    "ReportSection": "repro.experiments.report",
-    "render_section": "repro.experiments.report",
     "render_comparison": "repro.experiments.tables",
     "render_table": "repro.experiments.tables",
     "SIMPLE_WORKLOADS": "repro.experiments.workloads",

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.campaigns.store import ResultStore
-from repro.engine.plan import ExecutionPlan, resolve_plan
+from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool
 from repro.exceptions import ExperimentError
 from repro.search.checkpoint import SearchCheckpoint, SearchSpec
@@ -92,16 +92,10 @@ class StrategySearch:
         The declarative search description.
     store:
         The persistent result store evaluations checkpoint into.
-    workers:
-        Deprecated — pass ``plan=ExecutionPlan(workers=...)``.
     pool:
         Optional externally owned pool to share with other subsystems;
         overrides the plan's worker count for dispatch.  The search never
         shuts down a pool it was handed.
-    pool_chunk:
-        Deprecated — pass ``plan=ExecutionPlan(pool_chunk=...)``.
-    batch:
-        Deprecated — pass ``plan=ExecutionPlan(batch=True)``.
     plan:
         The :class:`~repro.engine.plan.ExecutionPlan` for every candidate's
         seed batch.  A parallel plan makes the search hold one persistent
@@ -128,19 +122,14 @@ class StrategySearch:
         self,
         spec: SearchSpec,
         store: ResultStore,
-        workers: Optional[int] = None,
         pool: Optional["ExecutionPool"] = None,
-        pool_chunk: Optional[int] = None,
-        batch: bool = False,
         telemetry: Optional[Telemetry] = None,
         *,
         plan: Optional[ExecutionPlan] = None,
     ) -> None:
         self._spec = spec
         self._checkpoint = SearchCheckpoint(store, spec)
-        self._plan = resolve_plan(
-            plan, api="StrategySearch", workers=workers, pool_chunk=pool_chunk, batch=batch
-        )
+        self._plan = plan if plan is not None else ExecutionPlan()
         self._batch = self._plan.batch
         self._owns_pool = pool is None and self._plan.parallel
         self._settled = False

@@ -37,6 +37,7 @@ from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
 from repro.engine.batch import batchable, run_batch, run_reduced_batch
 from repro.engine.observers import TraceLevel
+from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool, ReducedTrial
 from repro.engine.runner import run_reduced_trials
 from repro.engine.serialization import execution_digest
@@ -219,7 +220,7 @@ class TestPlumbing:
             trace_level=TraceLevel.NONE,
         )
         serial = run_reduced_trials(config, seeds=range(5))
-        batched = run_reduced_trials(config, seeds=range(5), batch=True)
+        batched = run_reduced_trials(config, seeds=range(5), plan=ExecutionPlan(batch=True))
         assert batched == serial
 
     def test_campaign_store_rows_are_byte_identical_serial_vs_batch(self, tmp_path):
@@ -245,7 +246,9 @@ class TestPlumbing:
                 assert runner.run().complete
             serial_cells = list(serial_store.iter_cells())
         with ResultStore(tmp_path / "batch.db") as batch_store:
-            with CampaignRunner(CampaignSpec(name="s", **spec), batch_store, batch=True) as runner:
+            with CampaignRunner(
+                CampaignSpec(name="s", **spec), batch_store, plan=ExecutionPlan(batch=True)
+            ) as runner:
                 assert runner.run().complete
             batch_cells = list(batch_store.iter_cells())
         assert batch_cells == serial_cells

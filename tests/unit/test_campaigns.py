@@ -1,4 +1,4 @@
-"""Unit tests for the campaign subsystem: spec, store, runner, query, harness.
+"""Unit tests for the campaign subsystem: spec, store, runner, query.
 
 The contract under test: a campaign is a *durable* sweep.  Cells are
 identified by stable content hashes, completed cells are never recomputed,
@@ -14,7 +14,6 @@ import sqlite3
 import pytest
 
 from repro.campaigns.query import (
-    StoredSummary,
     aggregate,
     cell_rows,
     export_campaign,
@@ -23,12 +22,10 @@ from repro.campaigns.query import (
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import SPEC_SCHEMA_VERSION, CampaignSpec, cell_key, register_workload
 from repro.campaigns.store import ResultStore, TrialRecord
+from repro.engine.plan import ExecutionPlan
 from repro.engine.runner import run_trials
 from repro.exceptions import ConfigurationError, ExperimentError
-from repro.experiments.harness import ExperimentHarness, SweepPoint
 from repro.experiments.workloads import quiet_start
-from repro.params import ModelParameters
-from repro.protocols.trapdoor.protocol import TrapdoorProtocol
 
 
 def tiny_spec(name: str = "tiny", **overrides) -> CampaignSpec:
@@ -217,13 +214,17 @@ class TestRunnerResume:
         # trial batches, not just the reported progress.
         executed_batches = []
         import repro.campaigns.runner as runner_module
-        real_run_reduced_trials = runner_module.run_reduced_trials
+        real_run_units = runner_module.run_units
 
-        def counting_run_reduced_trials(config, **kwargs):
-            executed_batches.append(config)
-            return real_run_reduced_trials(config, **kwargs)
+        def counting_run_units(units, *args, **kwargs):
+            def counted():
+                for unit in units:
+                    executed_batches.append(unit)
+                    yield unit
 
-        monkeypatch.setattr(runner_module, "run_reduced_trials", counting_run_reduced_trials)
+            return real_run_units(counted(), *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_units", counting_run_units)
         second = CampaignRunner(spec, resumed_store).run()
         assert second.complete
         assert (second.executed, second.already_complete) == (2, 2)
@@ -246,7 +247,7 @@ class TestRunnerResume:
         def forbid(*args, **kwargs):  # pragma: no cover - only on regression
             raise AssertionError("a complete campaign must not re-execute cells")
 
-        monkeypatch.setattr(runner_module, "run_reduced_trials", forbid)
+        monkeypatch.setattr(runner_module, "run_units", forbid)
         progress = CampaignRunner(spec, store).run()
         assert progress.complete
         assert (progress.executed, progress.already_complete) == (0, 4)
@@ -281,7 +282,7 @@ class TestRunnerResume:
         def forbid(*args, **kwargs):  # pragma: no cover - only on regression
             raise AssertionError("a fully shared grid must not re-execute")
 
-        monkeypatch.setattr(runner_module, "run_reduced_trials", forbid)
+        monkeypatch.setattr(runner_module, "run_units", forbid)
         progress = CampaignRunner(tiny_spec(name="twin"), store).run()
         assert progress.complete and progress.executed == 0
         assert aggregate(store, "twin") == aggregate(store, "first")
@@ -294,7 +295,7 @@ class TestRunnerResume:
         def forbid(*args, **kwargs):  # pragma: no cover - only on regression
             raise AssertionError("nothing may execute before workload validation")
 
-        monkeypatch.setattr(runner_module, "run_reduced_trials", forbid)
+        monkeypatch.setattr(runner_module, "run_units", forbid)
         with pytest.raises(ConfigurationError, match="quiet_stat"):
             CampaignRunner(spec, store).run()
         assert store.cell_count() == 0
@@ -362,71 +363,6 @@ class TestQuery:
         assert document["spec"]["participants"] == [8, 16]
         assert len(document["cells"]) == 4
         assert document["aggregates"][0]["trials"] == 8
-
-
-class TestHarnessStorePath:
-    @staticmethod
-    def points():
-        params = ModelParameters(frequencies=4, disruption_budget=1, participant_bound=8)
-        workload = quiet_start(2)
-        return [
-            SweepPoint(
-                label=f"N={n}",
-                params=ModelParameters(4, 1, n),
-                protocol_factory=TrapdoorProtocol.factory(),
-                activation=workload.activation,
-                adversary=workload.adversary,
-                max_rounds=5_000,
-                metadata={"N": n},
-            )
-            for n in (8, 16)
-        ], params
-
-    def test_store_backed_sweep_records_then_reads_back(self, tmp_path, monkeypatch):
-        points, _ = self.points()
-        store = ResultStore(tmp_path / "sweep.db")
-        harness = ExperimentHarness(seeds=2)
-        live = harness.run_sweep(points, store=store, campaign="sweep")
-        assert store.cell_count("sweep") == 2
-
-        # Second run: nothing executes, summaries come from the store and
-        # carry identical statistics (so .row() feeds the same tables).
-        def forbid(point):  # pragma: no cover - only on regression
-            raise AssertionError("a stored point must not re-execute")
-
-        monkeypatch.setattr(harness, "run_point", forbid)
-        stored = harness.run_sweep(points, store=store, campaign="sweep")
-        assert all(isinstance(result.summary, StoredSummary) for result in stored)
-        assert [result.row() for result in stored] == [result.row() for result in live]
-        assert harness.latencies(stored) == harness.latencies(live)
-
-    def test_point_keys_distinguish_configurations(self):
-        points, _ = self.points()
-        harness = ExperimentHarness(seeds=2)
-        assert harness.point_key(points[0]) != harness.point_key(points[1])
-        assert harness.point_key(points[0]) == ExperimentHarness(seeds=2).point_key(points[0])
-        assert harness.point_key(points[0]) != ExperimentHarness(seeds=3).point_key(points[0])
-
-    def test_closure_factory_rejected_for_store_path(self, tmp_path):
-        points, _ = self.points()
-        bad = SweepPoint(
-            label="closure",
-            params=points[0].params,
-            protocol_factory=lambda context: TrapdoorProtocol(context),
-            activation=points[0].activation,
-            adversary=points[0].adversary,
-        )
-        harness = ExperimentHarness(seeds=2)
-        with pytest.raises(ExperimentError, match="no stable identity"):
-            harness.run_sweep([bad], store=ResultStore(tmp_path / "s.db"))
-        # Without a store the closure factory keeps working as before.
-        assert harness.run_sweep([bad])[0].summary.trials == 2
-
-    def test_config_hook_rejected_for_store_path(self, tmp_path):
-        points, _ = self.points()
-        harness = ExperimentHarness(seeds=2, config_hook=lambda config, seed: config)
-        with pytest.raises(ExperimentError, match="config_hook"):
-            harness.run_sweep(points, store=ResultStore(tmp_path / "s.db"))
 
 
 class TestStoreDurability:
@@ -512,7 +448,7 @@ class TestPooledRunner:
         with ResultStore(tmp_path / "serial.db") as serial_store:
             CampaignRunner(spec, serial_store).run()
             with ResultStore(tmp_path / "pooled.db") as pooled_store:
-                with CampaignRunner(spec, pooled_store, workers=2, pool_chunk=1) as runner:
+                with CampaignRunner(spec, pooled_store, plan=ExecutionPlan(workers=2, pool_chunk=1)) as runner:
                     progress = runner.run()
                 assert progress.complete and progress.executed == 4
                 # Same keys, same descriptions, same trial scalars, same
@@ -525,7 +461,7 @@ class TestPooledRunner:
     def test_pool_survives_across_run_invocations(self, tmp_path):
         spec = tiny_spec()
         with ResultStore(tmp_path / "store.db") as store:
-            with CampaignRunner(spec, store, workers=2) as runner:
+            with CampaignRunner(spec, store, plan=ExecutionPlan(workers=2)) as runner:
                 first = runner.run(max_cells=2)
                 second = runner.run()
                 assert (first.executed, second.executed) == (2, 2)
@@ -547,13 +483,44 @@ class TestPooledRunner:
         spec = tiny_spec()
         seen = []
         with ResultStore(tmp_path / "store.db") as store:
-            with CampaignRunner(spec, store, workers=2) as runner:
+            with CampaignRunner(spec, store, plan=ExecutionPlan(workers=2)) as runner:
                 runner.run(on_cell=lambda cell, progress: seen.append(
                     (cell.key, progress.executed, progress.remaining)
                 ))
         assert [executed for _key, executed, _rem in seen] == [1, 2, 3, 4]
         assert [rem for _key, _executed, rem in seen] == [3, 2, 1, 0]
         assert [key for key, _e, _r in seen] == [cell.key for cell in spec.cells()]
+
+    def test_pooled_cells_commit_one_at_a_time(self, tmp_path):
+        spec = tiny_spec()
+        committed = []
+        with ResultStore(tmp_path / "store.db") as store:
+            with CampaignRunner(spec, store, plan=ExecutionPlan(workers=2, pool_chunk=1)) as runner:
+                runner.run(on_cell=lambda cell, progress: committed.append(
+                    (cell.key, store.cell_count())
+                ))
+        assert committed == [(cell.key, index) for index, cell in enumerate(spec.cells(), 1)]
+
+    def test_a_pooled_run_stopped_mid_grid_resumes_to_the_serial_store(self, tmp_path):
+        spec = tiny_spec()
+
+        def stop_after_two(cell, progress):
+            if progress.executed == 2:
+                raise KeyboardInterrupt
+
+        with ResultStore(tmp_path / "serial.db") as serial_store:
+            CampaignRunner(spec, serial_store).run()
+            with ResultStore(tmp_path / "pooled.db") as pooled_store:
+                with CampaignRunner(spec, pooled_store, plan=ExecutionPlan(workers=2)) as runner:
+                    with pytest.raises(KeyboardInterrupt):
+                        runner.run(on_cell=stop_after_two)
+                    assert pooled_store.cell_count() == 2
+                    resumed = runner.run()
+                    assert runner.pool is not None and runner.pool.starts == 1
+                assert (resumed.already_complete, resumed.executed) == (2, 2)
+                assert list(pooled_store.iter_cells(spec.name)) == list(
+                    serial_store.iter_cells(spec.name)
+                )
 
     def test_unpicklable_grid_degrades_to_serial_with_per_cell_commits(self, tmp_path):
         """A closure-built workload can't reach workers: one warning, and the
@@ -590,7 +557,7 @@ class TestPooledRunner:
                 CampaignRunner(spec, serial_store).run()
             committed_during_run = []
             with ResultStore(tmp_path / "pooled.db") as pooled_store:
-                with CampaignRunner(spec, pooled_store, workers=2) as runner:
+                with CampaignRunner(spec, pooled_store, plan=ExecutionPlan(workers=2)) as runner:
                     with pytest.warns(RuntimeWarning, match="not picklable") as caught:
                         runner.run(on_cell=lambda cell, progress: committed_during_run.append(
                             pooled_store.cell_count()

@@ -1,4 +1,4 @@
-"""The unified execution surface: ExecutionPlan and the legacy-kwarg shims.
+"""The unified execution surface: ExecutionPlan.
 
 Pins the three contracts of the API redesign:
 
@@ -8,14 +8,14 @@ Pins the three contracts of the API redesign:
   schema.
 - Every public entry point (:func:`run_trials`, :func:`run_reduced_trials`,
   :class:`CampaignRunner`, :class:`StrategySearch`,
-  :class:`ExperimentHarness`) accepts ``plan=``; the legacy execution kwargs
-  still work but each emits a :class:`DeprecationWarning` naming the plan
-  replacement, and mixing both spellings is rejected outright.
-- Results are identical whichever spelling dispatches them.
+  :meth:`SearchObjective.evaluate`) takes ``plan=`` (plus ``pool=`` for a
+  shared live pool) and no other execution parameter.
+- Results are identical under every plan.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import warnings
 
@@ -27,16 +27,17 @@ from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
 import repro.engine.plan as plan_module
-from repro.engine.plan import AUTO, PLAN_SCHEMA, ExecutionPlan, choose_workers, resolve_plan
+from repro.engine.plan import AUTO, PLAN_SCHEMA, ExecutionPlan, choose_workers
+from repro.engine.pool import ExecutionPool
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ConfigurationError
-from repro.experiments.harness import ExperimentHarness
 from repro.params import ModelParameters
 from repro.protocols.registry import protocol_factory
 from repro.search.checkpoint import SearchSpec
 from repro.search.objective import SearchObjective
 from repro.search.runner import StrategySearch
+from repro.search.space import ParametricGenome
 
 PARAMS = ModelParameters(frequencies=4, disruption_budget=1, participant_bound=8)
 
@@ -173,98 +174,70 @@ class TestChooseWorkers:
         assert choose_workers(10.0, 10_000, 100, cores=8, spinup_s=0.06, batch=True) == 1
 
 
-class TestResolvePlanShim:
-    def test_no_arguments_resolves_to_default(self):
-        assert resolve_plan(None, api="x") == ExecutionPlan()
+class TestOneExecutionSurface:
+    """``plan=`` and ``pool=`` are the only execution parameters left."""
 
-    def test_plan_passes_through_unchanged(self):
-        plan = ExecutionPlan(workers=3)
-        assert resolve_plan(plan, api="x") is plan
-
-    def test_mixing_plan_and_legacy_kwargs_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="both plan="):
-            resolve_plan(ExecutionPlan(), api="x", workers=2)
-
-    def test_each_legacy_kwarg_warns_with_the_plan_replacement(self):
-        for kwarg, kwargs in [
-            ("workers", {"workers": 2}),
-            ("pool_chunk", {"pool_chunk": 3}),
-            ("batch", {"batch": True}),
-        ]:
-            with pytest.warns(DeprecationWarning, match=rf"plan=ExecutionPlan\({kwarg}="):
-                resolved = resolve_plan(None, api="x", **kwargs)
-            assert getattr(resolved, kwarg) == kwargs[kwarg]
-
-
-class TestPublicEntryPointDeprecations:
-    """Every public execution API warns on legacy kwargs and honours plan=."""
-
-    def test_run_trials_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_trials\(workers=.*plan="):
-            run_trials(small_config(), seeds=1, workers=2)
-
-    def test_run_trials_batch_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_trials\(batch=.*plan="):
-            run_trials(small_config(), seeds=1, batch=True)
-
-    def test_run_reduced_trials_batch_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_reduced_trials\(batch="):
-            run_reduced_trials(small_config(), seeds=1, batch=True)
-
-    def test_experiment_harness_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"ExperimentHarness\(workers="):
-            ExperimentHarness(seeds=1, workers=2)
-
-    def test_campaign_runner_legacy_kwargs_warn(self, tmp_path):
-        spec = _campaign_spec("deprecated-campaign")
-        with ResultStore(str(tmp_path / "store.sqlite")) as store:
-            for kwarg, kwargs in [
-                ("workers", {"workers": 2}),
-                ("pool_chunk", {"pool_chunk": 2}),
-                ("batch", {"batch": True}),
-            ]:
-                with pytest.warns(DeprecationWarning, match=rf"CampaignRunner\({kwarg}="):
-                    with CampaignRunner(spec, store, **kwargs):
-                        pass
-
-    def test_strategy_search_legacy_kwargs_warn(self, tmp_path):
-        spec = _search_spec("deprecated-search")
-        with ResultStore(str(tmp_path / "store.sqlite")) as store:
-            for kwarg, kwargs in [
-                ("workers", {"workers": 2}),
-                ("pool_chunk", {"pool_chunk": 2}),
-                ("batch", {"batch": True}),
-            ]:
-                with pytest.warns(DeprecationWarning, match=rf"StrategySearch\({kwarg}="):
-                    with StrategySearch(spec, store, **kwargs):
-                        pass
+    @pytest.mark.parametrize(
+        "api",
+        [
+            run_trials,
+            run_reduced_trials,
+            CampaignRunner.__init__,
+            StrategySearch.__init__,
+            SearchObjective.evaluate,
+        ],
+        ids=["run_trials", "run_reduced_trials", "CampaignRunner", "StrategySearch", "evaluate"],
+    )
+    def test_no_legacy_execution_kwargs(self, api):
+        parameters = inspect.signature(api).parameters
+        assert "plan" in parameters
+        assert not {"workers", "pool_chunk", "batch"} & set(parameters)
 
     def test_plan_spelling_is_warning_free(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_trials(small_config(), seeds=1, plan=ExecutionPlan())
-            ExperimentHarness(seeds=1, plan=ExecutionPlan())
+            run_reduced_trials(small_config(), seeds=1, plan=ExecutionPlan())
+            _search_spec("plan-objective").objective.evaluate(
+                ParametricGenome(name="fixed-band"), plan=ExecutionPlan()
+            )
             with ResultStore(str(tmp_path / "store.sqlite")) as store:
                 with CampaignRunner(
                     _campaign_spec("plan-campaign"), store, plan=ExecutionPlan()
-                ):
+                ) as runner:
+                    runner.run()
+                with StrategySearch(_search_spec("plan-search"), store, plan=ExecutionPlan()):
                     pass
-                with StrategySearch(
-                    _search_spec("plan-search"), store, plan=ExecutionPlan()
-                ):
-                    pass
+
+    def test_a_parallel_plan_without_a_pool_shuts_its_own_pool_down(self, monkeypatch):
+        shut_down = []
+        real = ExecutionPool.shutdown
+
+        def recording(pool):
+            shut_down.append(pool)
+            real(pool)
+
+        monkeypatch.setattr(ExecutionPool, "shutdown", recording)
+        summary = run_trials(small_config(), seeds=3, plan=ExecutionPlan(workers=2))
+        assert summary.latencies() == run_trials(small_config(), seeds=3).latencies()
+        [scoped] = shut_down
+        assert scoped.starts == 1 and not scoped.running
+
+    def test_a_shared_pool_outlives_the_call(self):
+        with ExecutionPool(workers=2) as pool:
+            run_reduced_trials(small_config(), seeds=3, plan=ExecutionPlan(workers=2), pool=pool)
+            assert pool.running
+            run_trials(small_config(), seeds=3, pool=pool)
+            assert pool.starts == 1
 
 
 class TestSpellingEquivalence:
-    """Legacy kwargs and plan= dispatch to identical results."""
+    """Every plan dispatches to identical results."""
 
-    def test_run_trials_plan_equals_legacy_equals_serial(self):
+    def test_run_trials_parallel_plan_equals_serial(self):
         serial = run_trials(small_config(), seeds=3)
         via_plan = run_trials(small_config(), seeds=3, plan=ExecutionPlan(workers=2))
-        with pytest.warns(DeprecationWarning):
-            via_legacy = run_trials(small_config(), seeds=3, workers=2)
         assert via_plan.latencies() == serial.latencies()
-        assert via_legacy.latencies() == serial.latencies()
         for a, b in zip(via_plan.results, serial.results):
             assert a.metrics == b.metrics
 
@@ -282,19 +255,16 @@ class TestSpellingEquivalence:
         )
         assert parallel == serial
 
-    def test_campaign_runner_plan_matches_legacy_stores(self, tmp_path):
+    def test_campaign_runner_pooled_plan_matches_serial_store(self, tmp_path):
         spec = _campaign_spec("equivalence")
-        with ResultStore(str(tmp_path / "via_plan.sqlite")) as store:
+        with ResultStore(str(tmp_path / "pooled.sqlite")) as store:
             with CampaignRunner(spec, store, plan=ExecutionPlan(workers=2)) as runner:
                 runner.run()
-            plan_cells = list(store.iter_cells("equivalence"))
-        with ResultStore(str(tmp_path / "via_legacy.sqlite")) as store:
-            with pytest.warns(DeprecationWarning):
-                runner = CampaignRunner(spec, store, workers=2)
-            with runner:
-                runner.run()
-            legacy_cells = list(store.iter_cells("equivalence"))
-        assert plan_cells == legacy_cells
+            pooled_cells = list(store.iter_cells("equivalence"))
+        with ResultStore(str(tmp_path / "serial.sqlite")) as store:
+            CampaignRunner(spec, store, plan=ExecutionPlan()).run()
+            serial_cells = list(store.iter_cells("equivalence"))
+        assert pooled_cells == serial_cells
 
 
 def _campaign_spec(name: str) -> CampaignSpec:

@@ -1,4 +1,4 @@
-"""Unit tests for the experiment harness, tables, figures, workloads, and registry."""
+"""Unit tests for the experiment tables, figures, workloads, and registry."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.adversary.activation import SimultaneousActivation
-from repro.adversary.jammers import NoInterference, RandomJammer
+from repro.adversary.jammers import NoInterference
 from repro.exceptions import ExperimentError
 from repro.experiments.figures import render_bars, render_multi_series
-from repro.experiments.harness import ExperimentHarness, SweepPoint
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, get_experiment
 from repro.experiments.tables import format_value, render_comparison, render_table
 from repro.experiments.workloads import (
@@ -21,7 +19,6 @@ from repro.experiments.workloads import (
     straggler,
     synchronized_start_low_jam,
 )
-from repro.protocols.trapdoor.protocol import TrapdoorProtocol
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -97,42 +94,6 @@ class TestWorkloads:
         assert straggler(5, delay=20).activation.last_activation_round() == 21
         assert crowded_cafe(4, spacing=3).activation.last_activation_round() == 10
         assert lower_bound_worst_case(4).adversary.describe() == "fixed band [1..t]"
-
-
-class TestHarness:
-    def make_point(self, params, label="p", **metadata) -> SweepPoint:
-        return SweepPoint(
-            label=label,
-            params=params,
-            protocol_factory=TrapdoorProtocol.factory(),
-            activation=SimultaneousActivation(count=3),
-            adversary=RandomJammer(),
-            max_rounds=5_000,
-            metadata=metadata,
-        )
-
-    def test_run_point_produces_summary(self, params):
-        harness = ExperimentHarness(seeds=2)
-        result = harness.run_point(self.make_point(params, n=3))
-        assert result.summary.trials == 2
-        assert result.summary.liveness_rate == 1.0
-        row = result.row()
-        assert row["point"] == "p" and row["n"] == 3
-        assert row["mean_latency"] is not None
-
-    def test_run_sweep_and_render(self, params):
-        harness = ExperimentHarness(seeds=1)
-        results = harness.run_sweep([self.make_point(params, label="a"), self.make_point(params, label="b")])
-        table = harness.render(results, title="sweep")
-        assert "sweep" in table and "a" in table and "b" in table
-        assert len(harness.latencies(results)) == 2
-
-    def test_empty_sweep_rejected(self, params):
-        harness = ExperimentHarness(seeds=1)
-        with pytest.raises(ExperimentError):
-            harness.run_sweep([])
-        with pytest.raises(ExperimentError):
-            harness.render([])
 
 
 class TestRegistry:

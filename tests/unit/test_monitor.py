@@ -31,6 +31,7 @@ from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
 from repro.cli import main
 from repro.engine.observers import TraceLevel
+from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import (
     ChunkResult,
     ExecutionPool,
@@ -441,7 +442,7 @@ class TestRunMonitor:
         telemetry = Telemetry(sink=JsonlSink(tmp_path / "events.jsonl"))
         with ResultStore(tmp_path / "monitored.db") as store:
             with CampaignRunner(
-                spec, store, workers=2, pool_chunk=1, telemetry=telemetry
+                spec, store, telemetry=telemetry, plan=ExecutionPlan(workers=2, pool_chunk=1)
             ) as runner:
                 with RunMonitor(
                     telemetry,

@@ -14,6 +14,8 @@ import pytest
 from repro.adversary.activation import StaggeredActivation
 from repro.adversary.jammers import RandomJammer
 from repro.engine.observers import TraceLevel
+from repro.engine.plan import ExecutionPlan
+from repro.engine.pool import ExecutionPool, WorkUnit, run_units
 from repro.engine.runner import TrialSummary, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
@@ -49,7 +51,7 @@ def assert_summaries_identical(reference: TrialSummary, candidate: TrialSummary)
 class TestDeterminism:
     def test_workers_match_serial_run_exactly(self, batch_config):
         serial = run_trials(batch_config, seeds=4)
-        parallel = run_trials(batch_config, seeds=4, workers=4)
+        parallel = run_trials(batch_config, seeds=4, plan=ExecutionPlan(workers=4))
         assert_summaries_identical(serial, parallel)
 
     def test_trace_free_matches_full_trace_run_exactly(self, batch_config):
@@ -62,12 +64,12 @@ class TestDeterminism:
     def test_workers_plus_trace_free_matches_serial_full_trace(self, batch_config):
         serial = run_trials(batch_config, seeds=4)
         combined = run_trials(
-            batch_config, seeds=4, workers=2, trace_level=TraceLevel.NONE
+            batch_config, seeds=4, plan=ExecutionPlan(workers=2), trace_level=TraceLevel.NONE
         )
         assert_summaries_identical(serial, combined)
 
     def test_results_come_back_in_seed_order(self, batch_config):
-        summary = run_trials(batch_config, seeds=(11, 3, 7), workers=3)
+        summary = run_trials(batch_config, seeds=(11, 3, 7), plan=ExecutionPlan(workers=3))
         assert summary.seeds == (11, 3, 7)
         for seed, result in zip(summary.seeds, summary.results):
             assert result.trace.seed == seed
@@ -79,7 +81,7 @@ class TestDeterminism:
             hook_seeds.append(seed)
             return config
 
-        run_trials(batch_config, seeds=3, workers=2, config_for_seed=hook)
+        run_trials(batch_config, seeds=3, plan=ExecutionPlan(workers=2), config_for_seed=hook)
         assert hook_seeds == [0, 1, 2]
 
 
@@ -103,7 +105,7 @@ class TestUnpicklableFallback:
         # The config pickles fine; the TypeError comes from inside a worker
         # and must re-raise instead of triggering the serial fallback.
         with pytest.raises(TypeError, match="boom from protocol"):
-            run_trials(config, seeds=2, workers=2)
+            run_trials(config, seeds=2, plan=ExecutionPlan(workers=2))
 
     def test_closure_factory_falls_back_to_serial_with_a_warning(self, params):
         config = SimulationConfig(
@@ -115,7 +117,7 @@ class TestUnpicklableFallback:
         )
         serial = run_trials(config, seeds=2)
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            fallback = run_trials(config, seeds=2, workers=2)
+            fallback = run_trials(config, seeds=2, plan=ExecutionPlan(workers=2))
         assert_summaries_identical(serial, fallback)
 
     def test_closure_factory_mixed_into_a_large_batch_falls_back_cleanly(self, params):
@@ -143,16 +145,18 @@ class TestUnpicklableFallback:
         )
         serial = run_trials(base, seeds=12, config_for_seed=hook)
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            fallback = run_trials(base, seeds=12, config_for_seed=hook, workers=4)
+            fallback = run_trials(
+                base, seeds=12, config_for_seed=hook, plan=ExecutionPlan(workers=4)
+            )
         assert_summaries_identical(serial, fallback)
 
     def test_generator_input_is_materialized_before_dispatch(self, batch_config):
-        """run_configs must not lose configs to partial iterator consumption."""
-        from repro.engine.parallel import run_configs
-
+        """A config unit built from a generator loses no config to partial consumption."""
         configs = [replace(batch_config, seed=seed) for seed in range(4)]
-        from_list = run_configs(configs, workers=2)
-        from_generator = run_configs((config for config in configs), workers=2)
+        with ExecutionPool(workers=2) as pool:
+            [from_list] = run_units([WorkUnit.of_configs(configs)], pool)
+            [from_generator] = run_units([WorkUnit.of_configs(c for c in configs)], pool)
+        assert len(from_generator) == len(configs)
         assert [r.metrics for r in from_generator] == [r.metrics for r in from_list]
 
 

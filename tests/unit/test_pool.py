@@ -6,15 +6,20 @@ The pool's contract has three legs:
   the results (and reduced rows) of a serial run, for any chunk size;
 * **persistence** — one executor start serves arbitrarily many calls (and
   arbitrarily many ``CampaignRunner.run`` / search invocations);
-* **crash safety** — a worker dying mid-batch (a hard ``os._exit``, not a
-  Python exception) surfaces as :class:`WorkerCrashError` and the same pool
-  object is usable again immediately, on fresh workers.
+* **crash safety** — a worker dying (a hard ``os._exit`` or a SIGKILL, not a
+  Python exception) is retried within one ``crash_retries`` budget whether
+  ``executor.submit`` or a future reports it, on every path including a
+  pooled campaign; past the budget it surfaces as :class:`WorkerCrashError`
+  and the same pool object is usable again immediately, on fresh workers.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass
+import signal
+import warnings
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -22,12 +27,20 @@ import pytest
 from repro.adversary.activation import StaggeredActivation
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
 from repro.adversary.jammers import RandomJammer
+from repro.campaigns.query import export_campaign
+from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.spec import CAMPAIGN_WORKLOADS, CampaignSpec
+from repro.campaigns.store import ResultStore
 from repro.engine.observers import TraceLevel
-from repro.engine.pool import ExecutionPool, ReducedTrial, WorkerCrashError
+from repro.engine.plan import ExecutionPlan
+import repro.engine.pool as pool_module
+from repro.engine.pool import ExecutionPool, ReducedTrial, WorkerCrashError, WorkUnit, run_units
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ConfigurationError
+from repro.experiments.workloads import Workload, quiet_start
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -183,6 +196,115 @@ class TestUnpicklableFallback:
         assert not pool.running  # nothing was ever dispatched
 
 
+def _closure_config(config):
+    """``config`` with a lambda protocol factory: equal rows, but it cannot pickle."""
+    return replace(config, protocol_factory=lambda context: TrapdoorProtocol(context))
+
+
+class TestRunUnits:
+    """The one drain: ordered units in, each unit's rows out, on every route."""
+
+    @pytest.fixture
+    def units(self, batch_config):
+        other = replace(batch_config, activation=StaggeredActivation(count=3, spacing=1))
+        return [
+            WorkUnit(batch_config, (0, 1, 2)),
+            WorkUnit(other, (4, 2)),
+            WorkUnit(batch_config, (7,)),
+        ]
+
+    def test_serial_units_come_back_in_unit_order(self, units):
+        rows = list(run_units(units, reduce=True))
+        assert rows == [
+            list(run_reduced_trials(unit.template, seeds=unit.items)) for unit in units
+        ]
+
+    def test_pooled_units_match_serial_units(self, units, pool):
+        assert list(run_units(units, pool, reduce=True)) == list(run_units(units, reduce=True))
+
+    def test_full_results_keep_seed_order_within_each_unit(self, units, pool):
+        pooled = list(run_units(units, pool))
+        serial = list(run_units(units))
+        assert [len(rows) for rows in pooled] == [len(unit.items) for unit in units]
+        for pooled_rows, serial_rows in zip(pooled, serial):
+            assert [r.metrics for r in pooled_rows] == [r.metrics for r in serial_rows]
+
+    def test_serial_run_is_lazy_one_unit_per_next(self, units, monkeypatch):
+        ran = []
+        real = pool_module._run_in_process
+
+        def recording(unit, chunk, reduce, batch):
+            ran.append(unit)
+            return real(unit, chunk, reduce, batch)
+
+        monkeypatch.setattr(pool_module, "_run_in_process", recording)
+        drain = run_units(units, reduce=True)
+        assert ran == []
+        next(drain)
+        assert ran == units[:1]
+        next(drain)
+        assert ran == units[:2]
+
+    def test_no_units_start_no_workers(self):
+        with ExecutionPool(workers=2) as pool:
+            assert list(pool.run([])) == []
+            assert pool.starts == 0
+
+    def test_run_seeds_is_one_unit_of_run(self, batch_config, pool):
+        [rows] = pool.run([WorkUnit(batch_config, (3, 1))], reduce=True)
+        assert pool.run_seeds(batch_config, (3, 1), reduce=True) == rows
+
+    def test_config_unit_on_a_pool_matches_in_process(self, batch_config, pool):
+        unit = WorkUnit.of_configs(replace(batch_config, seed=seed) for seed in (5, 0, 2))
+        [pooled] = run_units([unit], pool)
+        [serial] = run_units([unit])
+        assert [r.metrics for r in pooled] == [r.metrics for r in serial]
+
+    def test_config_units_are_never_reduced_or_batched(self, batch_config):
+        telemetry = Telemetry()
+        unit = WorkUnit.of_configs(replace(batch_config, seed=seed) for seed in range(3))
+        with ExecutionPool(workers=2, chunk_size=1, telemetry=telemetry) as pool:
+            [rows] = pool.run([unit], reduce=True, batch=True)
+        assert not any(isinstance(row, ReducedTrial) for row in rows)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["pool.scalar_chunks"] == 3
+        assert counters["pool.batch_chunks"] == 0
+
+    def test_every_unit_is_counted_once_per_chunk(self, units):
+        telemetry = Telemetry()
+        with ExecutionPool(workers=2, chunk_size=2, telemetry=telemetry) as pool:
+            list(pool.run(units, reduce=True))
+        counters = telemetry.snapshot()["counters"]
+        assert counters["pool.trials_dispatched"] == 6
+        # (0, 1) (2,) | (4, 2) | (7,)
+        assert counters["pool.chunks_dispatched"] == 4
+        assert counters["events.chunk-dispatched"] == 4
+
+    def test_unpicklable_units_warn_once_per_call_and_keep_their_place(self, units, pool):
+        mixed = [
+            WorkUnit(_closure_config(units[0].template), units[0].items),
+            units[1],
+            WorkUnit(_closure_config(units[2].template), units[2].items),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = list(pool.run(mixed, reduce=True))
+        fallbacks = [w for w in caught if "not picklable" in str(w.message)]
+        assert len(fallbacks) == 1
+        assert rows == list(run_units(units, reduce=True))
+
+    def test_a_consumer_that_stops_early_leaves_the_pool_usable(self, batch_config, units):
+        many = units + [WorkUnit(batch_config, tuple(range(8)))]
+        with ExecutionPool(workers=2, chunk_size=1) as pool:
+            drain = pool.run(many, reduce=True)
+            first = next(drain)
+            drain.close()
+            assert first == list(run_reduced_trials(batch_config, seeds=(0, 1, 2)))
+            again = pool.run_seeds(batch_config, (0, 1, 2), reduce=True)
+            assert again == first
+            assert pool.starts == 1
+
+
 @dataclass(frozen=True)
 class PoisonAdversary(InterferenceAdversary):
     """Kills the worker process outright on its first round.
@@ -305,3 +427,135 @@ class TestCrashRetry:
         with ExecutionPool(workers=2, chunk_size=1) as pool:
             reduced = run_reduced_trials(config, seeds=2, pool=pool)
         assert reduced == run_reduced_trials(config, seeds=2)
+
+
+class TestOneCrashBudget:
+    """Submit-time, drain-time and pooled-campaign crashes spend one budget."""
+
+    def test_workers_killed_between_calls_are_retried(self, batch_config):
+        serial = run_trials(batch_config, seeds=3)
+        with ExecutionPool(workers=2, chunk_size=1) as pool:
+            run_trials(batch_config, seeds=3, pool=pool)
+            executor = pool._executor
+            for process in list(executor._processes.values()):
+                os.kill(process.pid, signal.SIGKILL)
+            # The executor's manager thread marks the executor broken and
+            # exits, so once it is joined the next executor.submit itself
+            # raises BrokenProcessPool: no sleep, no race.
+            manager = executor._executor_manager_thread
+            manager.join(timeout=30)
+            assert not manager.is_alive()
+            again = run_trials(batch_config, seeds=3, pool=pool)
+            assert pool.starts == 2
+        assert again.latencies() == serial.latencies()
+        for pooled_result, serial_result in zip(again.results, serial.results):
+            assert pooled_result.metrics == serial_result.metrics
+
+    @staticmethod
+    def _kill_workers(pool):
+        """SIGKILL every worker and wait until the executor knows it is broken."""
+        executor = pool._executor
+        for process in list(executor._processes.values()):
+            os.kill(process.pid, signal.SIGKILL)
+        manager = executor._executor_manager_thread
+        manager.join(timeout=30)
+        assert not manager.is_alive()
+
+    def test_killed_workers_with_no_budget_raise_and_the_pool_recovers(self, batch_config):
+        with ExecutionPool(workers=2, chunk_size=1, crash_retries=0) as pool:
+            healthy = run_trials(batch_config, seeds=3, pool=pool)
+            self._kill_workers(pool)
+            with pytest.raises(WorkerCrashError, match="crashed mid-batch"):
+                run_trials(batch_config, seeds=3, pool=pool)
+            assert not pool.running
+            again = run_trials(batch_config, seeds=3, pool=pool)
+            assert pool.starts == 2
+        assert again.latencies() == healthy.latencies()
+
+    def test_a_submit_time_crash_is_counted_as_one_retry_round(self, batch_config):
+        telemetry = Telemetry()
+        with ExecutionPool(workers=2, chunk_size=1, telemetry=telemetry) as pool:
+            run_reduced_trials(batch_config, seeds=3, pool=pool)
+            self._kill_workers(pool)
+            reduced = run_reduced_trials(batch_config, seeds=3, pool=pool)
+        assert reduced == run_reduced_trials(batch_config, seeds=3)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["pool.worker_restarts"] == 1
+        assert counters["events.chunk-retried"] == 1
+        # Every chunk of the second call failed at submit and went out again.
+        assert counters["pool.chunk_retries"] == 3
+
+    def test_a_mid_run_crash_keeps_every_unit_in_order(
+        self, params, batch_config, tmp_path
+    ):
+        crash_once = replace(
+            batch_config,
+            activation=StaggeredActivation(count=3, spacing=2),
+            adversary=CrashOnceAdversary(sentinel=str(tmp_path / "crashed-once")),
+            max_rounds=5_000,
+        )
+        units = [
+            WorkUnit(batch_config, (0, 1)),
+            WorkUnit(crash_once, (0, 1, 2)),
+            WorkUnit(batch_config, (2, 3)),
+        ]
+        with ExecutionPool(workers=2, chunk_size=1) as pool:
+            pooled = list(pool.run(units, reduce=True))
+            assert pool.starts == 2
+        assert pooled == list(run_units(units, reduce=True))
+
+    def test_an_exhausted_budget_surfaces_after_the_earlier_units(self, params, batch_config):
+        poison = TestCrashRecovery()._poison_config(params)
+        # The first unit runs in-process, so no crash can reach it: its rows
+        # must come out before the second unit's crash is raised.
+        units = [WorkUnit(_closure_config(batch_config), (0, 1)), WorkUnit(poison, (0, 1))]
+        with ExecutionPool(workers=2, chunk_size=1, crash_retries=1) as pool:
+            with pytest.warns(RuntimeWarning, match="not picklable"):
+                drain = pool.run(units, reduce=True)
+            assert next(drain) == list(run_reduced_trials(batch_config, seeds=(0, 1)))
+            with pytest.raises(WorkerCrashError):
+                next(drain)
+            # One retry round, then the second crash exhausted the budget.
+            assert pool.starts == 2
+            assert not pool.running
+
+    def test_pooled_campaign_retries_a_crashed_cell(self, tmp_path, monkeypatch):
+        sentinel = tmp_path / "crashed-once"
+
+        def crash_once(node_count):
+            base = quiet_start(node_count)
+            return Workload(
+                name="crash_once",
+                activation=base.activation,
+                adversary=CrashOnceAdversary(sentinel=str(sentinel)),
+                description="kills the first worker to run it",
+            )
+
+        monkeypatch.setitem(CAMPAIGN_WORKLOADS, "pool_test_crash_once", crash_once)
+        spec = CampaignSpec(
+            name="crash",
+            protocols=("trapdoor",),
+            workloads=("quiet_start", "pool_test_crash_once"),
+            frequencies=(4,),
+            budgets=(1,),
+            participants=(8,),
+            node_counts=(2, 3),
+            seeds=2,
+            max_rounds=5_000,
+        )
+        with ResultStore(tmp_path / "pooled.db") as pooled:
+            with CampaignRunner(spec, pooled, plan=ExecutionPlan(workers=2)) as runner:
+                assert runner.run().complete
+                assert runner.pool is not None and runner.pool.starts == 2
+            assert sentinel.exists()
+            # The sentinel now exists, so a serial run takes the quiet branch
+            # the retried chunks took.
+            with ResultStore(tmp_path / "serial.db") as serial:
+                CampaignRunner(spec, serial, plan=ExecutionPlan(workers=1)).run()
+                assert list(pooled.iter_cells("crash")) == list(serial.iter_cells("crash"))
+                exported = [
+                    export_campaign(store, "crash", tmp_path / f"{label}.json").read_bytes()
+                    for label, store in (("pooled", pooled), ("serial", serial))
+                ]
+        assert exported[0] == exported[1]
+        assert len(json.loads(exported[0])["cells"]) == 4

@@ -20,6 +20,7 @@ import pytest
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
+from repro.engine.plan import ExecutionPlan
 from repro.exceptions import ConfigurationError
 from repro.search.checkpoint import SearchSpec
 from repro.search.objective import SearchObjective
@@ -495,13 +496,16 @@ class TestCampaignInstrumentation:
     ):
         spec = tiny_campaign()
         with ResultStore(tmp_path / "plain.db") as plain_store:
-            with CampaignRunner(spec, plain_store, workers=workers, batch=batch) as runner:
+            with CampaignRunner(spec, plain_store, plan=ExecutionPlan(workers=workers, batch=batch)) as runner:
                 runner.run()
             plain = store_contents(plain_store, spec.name)
         telemetry = Telemetry.to_jsonl(tmp_path / "campaign.jsonl")
         with ResultStore(tmp_path / "instrumented.db") as instrumented_store:
             with CampaignRunner(
-                spec, instrumented_store, workers=workers, batch=batch, telemetry=telemetry
+                spec,
+                instrumented_store,
+                telemetry=telemetry,
+                plan=ExecutionPlan(workers=workers, batch=batch),
             ) as runner:
                 runner.run()
             instrumented = store_contents(instrumented_store, spec.name)
