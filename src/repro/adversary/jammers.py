@@ -190,7 +190,8 @@ class LowBandJammer(InterferenceAdversary):
         chosen = prefix[: context.budget]
         remaining = context.budget - len(chosen)
         if remaining > 0:
-            others = [f for f in context.band.all_frequencies() if f not in set(chosen)]
+            taken = set(chosen)
+            others = [f for f in context.band.all_frequencies() if f not in taken]
             chosen.extend(context.rng.sample(others, min(remaining, len(others))))
         return frozenset(chosen)
 

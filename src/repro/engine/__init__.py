@@ -29,6 +29,7 @@ _EXPORTS = {
     "SimulationResult": "repro.engine.results",
     "RandomStreams": "repro.engine.rng",
     "derive_seed": "repro.engine.rng",
+    "randint_upto": "repro.engine.rng",
     "TrialSummary": "repro.engine.runner",
     "run_reduced_trials": "repro.engine.runner",
     "run_trials": "repro.engine.runner",

@@ -101,7 +101,7 @@ class PropertyReport:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class _NodeCheckState:
     """Incremental per-node state for the sequence properties."""
 
@@ -171,23 +171,11 @@ class StreamingPropertyChecker(BaseRoundObserver):
         global_round = record.global_round
         distinct: set[int] = set()
         for node_id, output in record.outputs.items():
-            if output is not None:
-                if not isinstance(output, int) or output < 0:
-                    round_violations.append(
-                        PropertyViolation(
-                            property_name="validity",
-                            global_round=global_round,
-                            node_id=node_id,
-                            detail=f"output {output!r} is neither ⊥ nor a natural number",
-                        )
-                    )
-                distinct.add(output)
             state = nodes.get(node_id)
-            if state is None:
-                continue
-            previous = state.previous
             if output is None:
-                if state.committed:
+                # ⊥ can only break synch commit; a node that never committed
+                # has nothing to check and its previous output stays ⊥.
+                if state is not None and state.committed:
                     state.violations.append(
                         PropertyViolation(
                             property_name="synch_commit",
@@ -196,22 +184,36 @@ class StreamingPropertyChecker(BaseRoundObserver):
                             detail="output returned to ⊥ after committing to a round number",
                         )
                     )
-            else:
-                if previous is not None and output != previous + 1:
-                    state.violations.append(
-                        PropertyViolation(
-                            property_name="correctness",
-                            global_round=global_round,
-                            node_id=node_id,
-                            detail=(
-                                f"output jumped from {previous} to {output} "
-                                f"(expected {previous + 1})"
-                            ),
-                        )
+                    state.previous = None
+                continue
+            if not isinstance(output, int) or output < 0:
+                round_violations.append(
+                    PropertyViolation(
+                        property_name="validity",
+                        global_round=global_round,
+                        node_id=node_id,
+                        detail=f"output {output!r} is neither ⊥ nor a natural number",
                     )
-                state.committed = True
-                if state.first_sync_round is None:
-                    state.first_sync_round = global_round
+                )
+            distinct.add(output)
+            if state is None:
+                continue
+            previous = state.previous
+            if previous is not None and output != previous + 1:
+                state.violations.append(
+                    PropertyViolation(
+                        property_name="correctness",
+                        global_round=global_round,
+                        node_id=node_id,
+                        detail=(
+                            f"output jumped from {previous} to {output} "
+                            f"(expected {previous + 1})"
+                        ),
+                    )
+                )
+            state.committed = True
+            if state.first_sync_round is None:
+                state.first_sync_round = global_round
             state.previous = output
         if len(distinct) > 1:
             round_violations.append(

@@ -33,6 +33,25 @@ def _encoded_label(label: object) -> bytes:
     return cached
 
 
+def randint_upto(rng: random.Random, n: int) -> int:
+    """A uniform integer in ``[1 .. n]``, drawn exactly as ``rng.randint(1, n)``.
+
+    CPython's ``randint(1, n)`` returns ``1 + _randbelow(n)``, which draws
+    ``getrandbits(n.bit_length())`` until the draw falls below ``n``.  This
+    makes the same draws without the three stdlib frames in between, so the
+    value and the generator's state afterwards are identical — the protocols'
+    per-round frequency choices use it, and every golden digest still holds.
+    """
+    if n < 1:
+        raise ValueError(f"empty range [1 .. {n}]")
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    draw = getrandbits(bits)
+    while draw >= n:
+        draw = getrandbits(bits)
+    return draw + 1
+
+
 def derive_seed(master_seed: int, *labels: object) -> int:
     """Derive a 64-bit child seed from a master seed and a label path.
 

@@ -231,9 +231,17 @@ class Simulator:
                 adversary_rng,
             )
         rows = self._active_rows
+        nodes = self._nodes
         activations_for_round = config.activation.activations_for_round
         resolve_round = self._network.resolve_round
-        choose_disruption = self._choose_disruption
+        choose_disruption = config.adversary.choose_disruption
+        validate_budget = (
+            self._network.validate_disruption_budget if config.enforce_budget else None
+        )
+        params = config.params
+        band, budget, spectrum = params.band, params.disruption_budget, self._spectrum
+        stop_when_synchronized = config.stop_when_synchronized
+        last_activation_round = config.activation.last_activation_round()
         synced_nodes = self._synced_nodes
         leader_uids = self._leader_uids
         leader_role = Role.LEADER
@@ -254,18 +262,23 @@ class Simulator:
                     context.local_round += 1
                 actions[node_id] = protocol.choose_action()
 
-            disrupted = choose_disruption(global_round, adversary_rng, len(rows))
+            disrupted = choose_disruption(
+                AdversaryContext(global_round, band, budget, spectrum, adversary_rng, len(rows))
+            )
+            if validate_budget is not None:
+                disrupted = validate_budget(disrupted, budget)
             resolution = resolve_round(global_round, actions, disrupted, activations)
 
             outputs: dict[NodeId, SyncOutput] = {}
             roles: dict[NodeId, Role] = {}
             outcomes = resolution.outcomes
             for node_id, node, protocol, context in rows:
-                outcome = outcomes.get(node_id)
-                if outcome is None:
+                try:
+                    outcome = outcomes[node_id]
+                except KeyError:
                     raise SimulationError(
                         f"node {node_id} acted in round {global_round} but got no outcome"
-                    )
+                    ) from None
                 protocol.on_reception(outcome)
                 output = protocol.current_output()
                 if output is not None and node.first_sync_local_round is None:
@@ -278,17 +291,21 @@ class Simulator:
                 if role is leader_role:
                     leader_uids.add(context.uid)
 
-            record = RoundRecord(
-                global_round=global_round,
-                outputs=outputs,
-                roles=roles,
-                activity=resolution.activity,
-            )
+            record = RoundRecord(global_round, outputs, roles, resolution.activity)
             for notify in notify_round:
                 notify(record)
             rounds_simulated = global_round
 
-            if self._should_stop(global_round):
+            # Stop once every node that will ever wake has synchronized.  The
+            # synced-node set only grows (outputs latch), so its size against
+            # the node count replaces a per-round scan over every runtime.
+            if (
+                stop_when_synchronized
+                and len(synced_nodes) == len(nodes)
+                and nodes
+                and self._pending_activations == 0
+                and global_round >= last_activation_round
+            ):
                 if grace_remaining is None:
                     grace_remaining = config.extra_rounds_after_sync
                 if grace_remaining <= 0:
@@ -331,7 +348,15 @@ class Simulator:
         rows = self._active_rows
         activations_for_round = config.activation.activations_for_round
         resolve_round = self._network.resolve_round
-        choose_disruption = self._choose_disruption
+        choose_disruption = config.adversary.choose_disruption
+        validate_budget = (
+            self._network.validate_disruption_budget if config.enforce_budget else None
+        )
+        params = config.params
+        band, budget, spectrum = params.band, params.disruption_budget, self._spectrum
+        stop_when_synchronized = config.stop_when_synchronized
+        last_activation_round = config.activation.last_activation_round()
+        last_fault_round = injector.last_fault_round
         synced_nodes = self._synced_nodes
         leader_uids = self._leader_uids
         leader_role = Role.LEADER
@@ -363,7 +388,11 @@ class Simulator:
                     context.local_round += 1
                 actions[node_id] = protocol.choose_action()
 
-            disrupted = choose_disruption(global_round, adversary_rng, len(rows))
+            disrupted = choose_disruption(
+                AdversaryContext(global_round, band, budget, spectrum, adversary_rng, len(rows))
+            )
+            if validate_budget is not None:
+                disrupted = validate_budget(disrupted, budget)
             resolution = resolve_round(global_round, actions, disrupted, activations)
 
             outputs: dict[NodeId, SyncOutput] = {}
@@ -377,11 +406,12 @@ class Simulator:
                     outputs[node_id] = None
                     roles[node_id] = contender_role
                     continue
-                outcome = outcomes.get(node_id)
-                if outcome is None:
+                try:
+                    outcome = outcomes[node_id]
+                except KeyError:
                     raise SimulationError(
                         f"node {node_id} acted in round {global_round} but got no outcome"
-                    )
+                    ) from None
                 protocol.on_reception(outcome)
                 output = protocol.current_output()
                 if output is not None and node.first_sync_local_round is None:
@@ -401,17 +431,20 @@ class Simulator:
             converged = honest_present > 0 and unsynchronized == 0 and len(distinct) <= 1
             tracker.observe_round(global_round, converged)
 
-            record = RoundRecord(
-                global_round=global_round,
-                outputs=outputs,
-                roles=roles,
-                activity=resolution.activity,
-            )
+            record = RoundRecord(global_round, outputs, roles, resolution.activity)
             for notify in notify_round:
                 notify(record)
             rounds_simulated = global_round
 
-            if self._should_stop_with_faults(global_round, injector, converged):
+            # Stop once activations and scheduled faults are exhausted and the
+            # present honest nodes have reconverged.
+            if (
+                stop_when_synchronized
+                and converged
+                and self._pending_activations == 0
+                and global_round >= last_activation_round
+                and global_round >= last_fault_round
+            ):
                 if grace_remaining is None:
                     grace_remaining = config.extra_rounds_after_sync
                 if grace_remaining <= 0:
@@ -481,21 +514,6 @@ class Simulator:
                     break
         return injected
 
-    def _should_stop_with_faults(
-        self, global_round: int, injector: FaultInjector, converged: bool
-    ) -> bool:
-        """Stop once activations and scheduled faults are exhausted and the
-        present honest nodes have reconverged."""
-        if not self._config.stop_when_synchronized:
-            return False
-        if self._pending_activations > 0:
-            return False
-        if global_round < self._config.activation.last_activation_round():
-            return False
-        if global_round < injector.last_fault_round:
-            return False
-        return converged
-
     def _activate(
         self,
         activations: tuple[NodeId, ...],
@@ -516,35 +534,6 @@ class Simulator:
             for observer in observers:
                 observer.on_activation(node_id, global_round)
             self._pending_activations -= 1
-
-    def _choose_disruption(self, global_round: int, adversary_rng, active_count: int):
-        context = AdversaryContext(
-            global_round=global_round,
-            band=self._config.params.band,
-            budget=self._config.params.disruption_budget,
-            history=self._spectrum,
-            rng=adversary_rng,
-            active_node_count=active_count,
-        )
-        disrupted = self._config.adversary.choose_disruption(context)
-        if self._config.enforce_budget:
-            disrupted = self._network.validate_disruption_budget(
-                disrupted, self._config.params.disruption_budget
-            )
-        return disrupted
-
-    def _should_stop(self, global_round: int) -> bool:
-        if not self._config.stop_when_synchronized:
-            return False
-        if self._pending_activations > 0:
-            return False
-        if global_round < self._config.activation.last_activation_round():
-            return False
-        if not self._nodes:
-            return False
-        # The synced-node set only grows (outputs latch), so this membership
-        # count replaces the per-round scan over every node runtime.
-        return len(self._synced_nodes) == len(self._nodes)
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:

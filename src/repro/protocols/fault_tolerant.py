@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.engine.rng import randint_upto
 from repro.exceptions import ConfigurationError
 from repro.protocols.base import (
     BoundProtocolFactory,
@@ -109,6 +110,17 @@ class _State(enum.Enum):
     LEADER = "leader"
     COMMITTED = "committed"
 
+    __hash__ = object.__hash__  # see repro.types.Intent
+
+
+#: The role each state reports.
+_ROLES = {
+    _State.CONTENDER: Role.CONTENDER,
+    _State.KNOCKED_OUT: Role.KNOCKED_OUT,
+    _State.LEADER: Role.LEADER,
+    _State.COMMITTED: Role.SYNCHRONIZED,
+}
+
 
 class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     """The Trapdoor Protocol with restart-on-silence and delayed commitment.
@@ -144,13 +156,7 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
 
     @property
     def role(self) -> Role:
-        mapping = {
-            _State.CONTENDER: Role.CONTENDER,
-            _State.KNOCKED_OUT: Role.KNOCKED_OUT,
-            _State.LEADER: Role.LEADER,
-            _State.COMMITTED: Role.SYNCHRONIZED,
-        }
-        return mapping[self._state]
+        return _ROLES[self._state]
 
     @property
     def restart_count(self) -> int:
@@ -172,7 +178,7 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
         if self._state is _State.CONTENDER and self.schedule.completed(protocol_round):
             self._become_leader()
 
-        frequency = rng.randint(1, self._band_width)
+        frequency = randint_upto(rng, self._band_width)
 
         if self._state is _State.CONTENDER:
             probability = self.schedule.broadcast_probability(protocol_round)
@@ -319,7 +325,7 @@ class MutedProtocol(SynchronizationProtocol):
 
     def choose_action(self) -> RadioAction:
         if self.muted:
-            return listen(self.context.rng.randint(1, self.context.params.frequencies))
+            return listen(randint_upto(self.context.rng, self.context.params.frequencies))
         return self.inner.choose_action()
 
     def on_reception(self, outcome: ReceptionOutcome) -> None:

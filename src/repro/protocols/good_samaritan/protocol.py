@@ -30,8 +30,7 @@ Roles and transitions
 
 from __future__ import annotations
 
-import enum
-
+from repro.engine.rng import randint_upto
 from repro.protocols.base import (
     BoundProtocolFactory,
     ProtocolContext,
@@ -40,24 +39,27 @@ from repro.protocols.base import (
 )
 from repro.protocols.good_samaritan.config import GoodSamaritanConfig
 from repro.protocols.good_samaritan.reports import SuccessLedger
-from repro.protocols.good_samaritan.schedule import GoodSamaritanSchedule, SchedulePosition
+from repro.protocols.good_samaritan.schedule import EpochWindow, GoodSamaritanSchedule
 from repro.protocols.timestamps import Timestamp
 from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage, SamaritanMessage
 from repro.types import Frequency, Role
 
-
-class _State(enum.Enum):
-    CONTENDER = "contender"
-    SAMARITAN = "samaritan"
-    PASSIVE = "passive"
-    LEADER = "leader"
-    SYNCHRONIZED = "synchronized"
+# Module-level aliases: a global load is several times cheaper than an
+# attribute lookup through the Enum metaclass on the per-round path.
+CONTENDER = Role.CONTENDER
+SAMARITAN = Role.SAMARITAN
+PASSIVE = Role.PASSIVE
+LEADER = Role.LEADER
+SYNCHRONIZED = Role.SYNCHRONIZED
 
 
 class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     """Per-node state machine of the Good Samaritan Protocol.
+
+    The five states are exactly the five :class:`~repro.types.Role` values
+    the protocol reports, so the state *is* the role.
 
     Parameters
     ----------
@@ -71,11 +73,19 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         super().__init__(context)
         self.config = config or GoodSamaritanConfig()
         self.schedule = GoodSamaritanSchedule(context.params, self.config)
-        self._state = _State.CONTENDER
+        self._state = CONTENDER
         self._ledger = SuccessLedger()
         self._this_round_special = False
         self._leader_via_fallback = False
         self._downgrade_round: int | None = None
+        self._window: EpochWindow = self.schedule.window_of_round(1)
+        params = context.params
+        self._frequencies = params.frequencies
+        self._log_frequencies = params.log_frequencies
+        #: The special-round widths ``min(2^d, F)`` for ``d = 1 .. lg F``.
+        self._special_widths = tuple(
+            min(2**d, params.frequencies) for d in range(1, params.log_frequencies + 1)
+        )
 
     # -- factory -----------------------------------------------------------
 
@@ -89,29 +99,20 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     @property
     def role(self) -> Role:
-        mapping = {
-            _State.CONTENDER: Role.CONTENDER,
-            _State.SAMARITAN: Role.SAMARITAN,
-            _State.PASSIVE: Role.PASSIVE,
-            _State.LEADER: Role.LEADER,
-            _State.SYNCHRONIZED: Role.SYNCHRONIZED,
-        }
-        return mapping[self._state]
+        return self._state
 
     def choose_action(self) -> RadioAction:
-        rng = self.context.rng
-        local_round = self.context.local_round
         self._this_round_special = False
-
-        if self._state is _State.LEADER:
+        state = self._state
+        if state is LEADER:
             return self._leader_action()
-        if self._state in (_State.PASSIVE, _State.SYNCHRONIZED):
+        if state is PASSIVE or state is SYNCHRONIZED:
             return listen(self._monitoring_frequency())
 
-        position = self.schedule.position_of_round(local_round)
-        if position is not None:
-            return self._optimistic_action(position)
-        return self._fallback_action(local_round)
+        window = self._current_window()
+        if window.fallback:
+            return self._fallback_action(window)
+        return self._optimistic_action(window)
 
     def on_reception(self, outcome: ReceptionOutcome) -> None:
         message = outcome.message
@@ -120,9 +121,9 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if isinstance(message, LeaderMessage):
             self._adopt_from_leader(message)
             return
-        if self._state is _State.CONTENDER:
+        if self._state is CONTENDER:
             self._contender_reception(message)
-        elif self._state is _State.SAMARITAN:
+        elif self._state is SAMARITAN:
             self._samaritan_reception(message)
 
     # -- introspection (tests, metrics) ---------------------------------------
@@ -152,23 +153,28 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         """True once this node's local round lies in the fallback portion."""
         return self.schedule.in_fallback(self.context.local_round)
 
+    def _current_window(self) -> EpochWindow:
+        """The schedule epoch of the current local round, looked up once per epoch."""
+        local_round = self.context.local_round
+        window = self._window
+        if not window.first_round <= local_round <= window.last_round:
+            window = self._window = self.schedule.window_of_round(local_round)
+        return window
+
     # -- optimistic portion -----------------------------------------------------
 
-    def _optimistic_action(self, position: SchedulePosition) -> RadioAction:
+    def _optimistic_action(self, window: EpochWindow) -> RadioAction:
         rng = self.context.rng
-        prefix = self.schedule.prefix_width(position.super_epoch)
-        frequencies = self.context.params.frequencies
 
-        if position.epoch <= self.context.params.log_participants:
+        if window.regular:
             # Regular epochs: half the time the super-epoch prefix, half the
             # time the whole band; broadcast with the epoch's probability.
             if rng.random() < self.config.local_band_probability:
-                frequency = rng.randint(1, prefix)
+                frequency = randint_upto(rng, window.prefix_width)
             else:
-                frequency = rng.randint(1, frequencies)
-            probability = self.schedule.broadcast_probability(position.epoch)
-            if rng.random() < probability:
-                return broadcast(frequency, self._identity_message(special=False))
+                frequency = randint_upto(rng, self._frequencies)
+            if rng.random() < window.broadcast_probability:
+                return broadcast(frequency, self._identity_message(window, special=False))
             return listen(frequency)
 
         # Critical and report epochs: half the rounds are special.
@@ -176,13 +182,12 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             self._this_round_special = True
             frequency = self._special_frequency()
             if rng.random() < 0.5:
-                return broadcast(frequency, self._identity_message(special=True))
+                return broadcast(frequency, self._identity_message(window, special=True))
             return listen(frequency)
 
-        frequency = rng.randint(1, prefix)
-        probability = self.schedule.broadcast_probability(position.epoch)
-        if rng.random() < probability:
-            return broadcast(frequency, self._identity_message(special=False))
+        frequency = randint_upto(rng, window.prefix_width)
+        if rng.random() < window.broadcast_probability:
+            return broadcast(frequency, self._identity_message(window, special=False))
         return listen(frequency)
 
     def _contender_reception(self, message) -> None:
@@ -191,9 +196,9 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             # ignored.  Fallback portion: timestamps decide (modified Trapdoor).
             if self.in_fallback:
                 if message.timestamp > self._my_timestamp():
-                    self._state = _State.PASSIVE
+                    self._state = PASSIVE
             else:
-                self._state = _State.SAMARITAN
+                self._state = SAMARITAN
                 self._downgrade_round = self.context.local_round
             return
         if isinstance(message, SamaritanMessage):
@@ -202,42 +207,41 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def _samaritan_reception(self, message) -> None:
         if isinstance(message, SamaritanMessage):
             # A samaritan hearing another samaritan is knocked out.
-            self._state = _State.PASSIVE
+            self._state = PASSIVE
             return
         if isinstance(message, ContenderMessage):
             self._maybe_record_success(message)
 
     def _maybe_record_success(self, message: ContenderMessage) -> None:
-        position = self.schedule.position_of_round(self.context.local_round)
-        if position is None or position.epoch != self.schedule.critical_epoch:
+        window = self._current_window()
+        if window.fallback or window.epoch != self.schedule.critical_epoch:
             return
         if message.special or self._this_round_special:
             return
         if message.timestamp.rounds_active != self.context.local_round:
             # The contender was not activated in the same round as this samaritan.
             return
-        self._ledger.ensure_epoch(position.super_epoch, position.epoch)
+        self._ledger.ensure_epoch(window.super_epoch, window.epoch)
         self._ledger.record(message.timestamp.uid)
 
     def _maybe_become_leader(self, message: SamaritanMessage) -> None:
         count = message.reports.get(self.context.uid, 0)
         if count <= 0:
             return
-        position = self.schedule.position_of_round(self.context.local_round)
-        if position is None:
+        window = self._current_window()
+        if window.fallback:
             return
-        threshold = self.schedule.success_threshold(position.super_epoch)
-        if count >= threshold:
+        if count >= self.schedule.success_threshold(window.super_epoch):
             self._become_leader(via_fallback=False)
 
     # -- fallback portion ----------------------------------------------------------
 
-    def _fallback_action(self, local_round: int) -> RadioAction:
+    def _fallback_action(self, window: EpochWindow) -> RadioAction:
         rng = self.context.rng
-        fallback = self.schedule.fallback_position_of_round(local_round)
-        assert fallback is not None  # in_fallback is implied by the caller
+        # Only contenders and samaritans reach the fallback action.
+        contender = self._state is CONTENDER
 
-        if self._state is _State.CONTENDER and fallback.completed:
+        if contender and window.completed:
             self._become_leader(via_fallback=True)
             return self._leader_action()
 
@@ -245,19 +249,15 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             # A special Good Samaritan round.
             self._this_round_special = True
             frequency = self._special_frequency()
-            if self._state is _State.CONTENDER and rng.random() < 0.5:
-                return broadcast(frequency, self._identity_message(special=True))
-            if self._state is _State.SAMARITAN and rng.random() < 0.5:
-                return broadcast(frequency, self._identity_message(special=True))
+            if rng.random() < 0.5:
+                return broadcast(frequency, self._identity_message(window, special=True))
             return listen(frequency)
 
         # A modified Trapdoor round: uniform frequency over the whole band,
         # broadcast with the fallback epoch's probability (contenders only).
-        frequency = rng.randint(1, self.context.params.frequencies)
-        if self._state is _State.CONTENDER:
-            probability = self.schedule.fallback_broadcast_probability(fallback.epoch)
-            if rng.random() < probability:
-                return broadcast(frequency, self._identity_message(special=False))
+        frequency = randint_upto(rng, self._frequencies)
+        if contender and rng.random() < window.broadcast_probability:
+            return broadcast(frequency, self._identity_message(window, special=False))
         return listen(frequency)
 
     # -- leader / synchronized ---------------------------------------------------
@@ -276,17 +276,17 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         rng = self.context.rng
         if rng.random() < 0.5:
             return self._special_frequency()
-        return rng.randint(1, self.context.params.frequencies)
+        return randint_upto(rng, self._frequencies)
 
     def _become_leader(self, via_fallback: bool) -> None:
-        self._state = _State.LEADER
+        self._state = LEADER
         self._leader_via_fallback = via_fallback
         self.adopt_round_number(self.context.local_round)
 
     def _adopt_from_leader(self, message: LeaderMessage) -> None:
-        if self._state is _State.LEADER:
+        if self._state is LEADER:
             return
-        self._state = _State.SYNCHRONIZED
+        self._state = SYNCHRONIZED
         self.adopt_round_number(message.round_number)
 
     # -- helpers --------------------------------------------------------------------
@@ -294,15 +294,14 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def _my_timestamp(self) -> Timestamp:
         return Timestamp(rounds_active=self.context.local_round, uid=self.context.uid)
 
-    def _identity_message(self, special: bool):
-        position = self.schedule.position_of_round(self.context.local_round)
-        epoch = position.epoch if position is not None else 0
-        if self._state is _State.SAMARITAN:
+    def _identity_message(self, window: EpochWindow, special: bool):
+        if self._state is SAMARITAN:
             return SamaritanMessage(
                 timestamp=self._my_timestamp(),
                 reports=self._ledger.report(),
                 special=special,
             )
+        epoch = 0 if window.fallback else window.epoch
         return ContenderMessage(timestamp=self._my_timestamp(), special=special, epoch=epoch)
 
     def _special_frequency(self) -> Frequency:
@@ -312,7 +311,5 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         uniformly from ``[1 .. 2^d]`` (clamped to the band).
         """
         rng = self.context.rng
-        log_f = self.context.params.log_frequencies
-        d = rng.randint(1, log_f)
-        width = min(2**d, self.context.params.frequencies)
-        return rng.randint(1, width)
+        width = self._special_widths[randint_upto(rng, self._log_frequencies) - 1]
+        return randint_upto(rng, width)

@@ -10,12 +10,14 @@ whose epochs are at least four times longer than the longest optimistic epoch.
 
 :class:`GoodSamaritanSchedule` materializes this structure for concrete
 parameters; the ``fig2`` benchmark renders it as the paper's Figure 2, and the
-protocol queries it every round through :meth:`position_of_round`.
+protocol looks up the epoch it is in once per epoch through
+:meth:`window_of_round`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
@@ -61,6 +63,47 @@ class FallbackPosition:
     epoch: int
     round_in_epoch: int
     completed: bool
+
+
+@dataclass(frozen=True, slots=True)
+class EpochWindow:
+    """One epoch of a node's schedule: its span of local rounds and what they share.
+
+    The protocol fetches a window when its local round leaves the previous one
+    and serves every round of the epoch from it.
+
+    Attributes
+    ----------
+    first_round, last_round:
+        The epoch's 1-based local rounds (inclusive).  The window after the
+        last fallback epoch, where a surviving contender becomes leader, is
+        unbounded (``last_round`` is ``sys.maxsize``).
+    fallback:
+        True for the fallback (modified Trapdoor) portion.
+    super_epoch:
+        The super-epoch ``k`` of an optimistic epoch; 0 in the fallback.
+    epoch:
+        The epoch index within the super-epoch, or the fallback epoch index.
+    regular:
+        True for the optimistic epochs ``1 .. lg N`` (not critical or report).
+    prefix_width:
+        The low-frequency prefix width ``2^k`` of the super-epoch (the whole
+        band in the fallback).
+    broadcast_probability:
+        The epoch's broadcast probability.
+    completed:
+        True once every fallback epoch is over.
+    """
+
+    first_round: int
+    last_round: int
+    fallback: bool
+    super_epoch: int
+    epoch: int
+    regular: bool
+    prefix_width: int
+    broadcast_probability: float
+    completed: bool = False
 
 
 class GoodSamaritanSchedule:
@@ -225,6 +268,41 @@ class GoodSamaritanSchedule:
         if epoch > self._log_n:
             return FallbackPosition(epoch=self._log_n, round_in_epoch=round_in_epoch, completed=True)
         return FallbackPosition(epoch=epoch, round_in_epoch=round_in_epoch, completed=False)
+
+    def window_of_round(self, local_round: int) -> EpochWindow:
+        """The optimistic or fallback epoch containing ``local_round``, as an :class:`EpochWindow`."""
+        position = self.position_of_round(local_round)
+        if position is not None:
+            k, epoch = position.super_epoch, position.epoch
+            first = local_round - position.round_in_epoch + 1
+            return EpochWindow(
+                first_round=first,
+                last_round=first + self._epoch_lengths[k - 1] - 1,
+                fallback=False,
+                super_epoch=k,
+                epoch=epoch,
+                regular=epoch <= self._log_n,
+                prefix_width=self.prefix_width(k),
+                broadcast_probability=self.broadcast_probability(epoch),
+            )
+        fallback = self.fallback_position_of_round(local_round)
+        assert fallback is not None  # position_of_round is None only in the fallback
+        if fallback.completed:
+            first, last = self._optimistic_total + self._fallback_total + 1, sys.maxsize
+        else:
+            first = local_round - fallback.round_in_epoch + 1
+            last = first + self._fallback_epoch_length - 1
+        return EpochWindow(
+            first_round=first,
+            last_round=last,
+            fallback=True,
+            super_epoch=0,
+            epoch=fallback.epoch,
+            regular=False,
+            prefix_width=self._params.frequencies,
+            broadcast_probability=self.fallback_broadcast_probability(fallback.epoch),
+            completed=fallback.completed,
+        )
 
     def in_fallback(self, local_round: int) -> bool:
         """True once a node has exhausted the optimistic portion."""

@@ -146,6 +146,11 @@ class TrapdoorSchedule:
             remaining -= epoch.length
         return None
 
+    def epoch_rounds(self, epoch: EpochSpec) -> range:
+        """The 1-based contender rounds ``epoch`` spans."""
+        first = 1 + sum(previous.length for previous in self._epochs[: epoch.index - 1])
+        return range(first, first + epoch.length)
+
     def broadcast_probability(self, local_round: int) -> float:
         """The broadcast probability of the epoch containing ``local_round``.
 

@@ -16,8 +16,7 @@ numbering immediately.
 
 from __future__ import annotations
 
-import enum
-
+from repro.engine.rng import randint_upto
 from repro.protocols.base import (
     BoundProtocolFactory,
     ProtocolContext,
@@ -26,22 +25,25 @@ from repro.protocols.base import (
 )
 from repro.protocols.timestamps import Timestamp
 from repro.protocols.trapdoor.config import TrapdoorConfig
-from repro.protocols.trapdoor.epochs import TrapdoorSchedule
+from repro.protocols.trapdoor.epochs import EpochSpec, TrapdoorSchedule
 from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage
 from repro.types import Role
 
-
-class _State(enum.Enum):
-    CONTENDER = "contender"
-    KNOCKED_OUT = "knocked_out"
-    LEADER = "leader"
-    SYNCHRONIZED = "synchronized"
+# Module-level aliases: a global load is several times cheaper than an
+# attribute lookup through the Enum metaclass on the per-round path.
+CONTENDER = Role.CONTENDER
+KNOCKED_OUT = Role.KNOCKED_OUT
+LEADER = Role.LEADER
+SYNCHRONIZED = Role.SYNCHRONIZED
 
 
 class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     """Per-node state machine of the Trapdoor Protocol.
+
+    The four states are exactly the four :class:`~repro.types.Role` values
+    the protocol reports, so the state *is* the role.
 
     Parameters
     ----------
@@ -55,9 +57,14 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         super().__init__(context)
         self.config = config or TrapdoorConfig()
         self.schedule = TrapdoorSchedule(context.params, self.config)
-        self._state = _State.CONTENDER
+        self._state = CONTENDER
         self._band_width = self.schedule.effective_frequencies
+        self._total_rounds = self.schedule.total_rounds
         self._knocked_out_by: Timestamp | None = None
+        # The contender's current epoch and the local rounds it spans, looked
+        # up again only when the local round leaves that span.
+        self._epoch: EpochSpec = self.schedule.epochs[0]
+        self._epoch_rounds = self.schedule.epoch_rounds(self._epoch)
 
     # -- factory -----------------------------------------------------------
 
@@ -71,47 +78,34 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     @property
     def role(self) -> Role:
-        if self._state is _State.LEADER:
-            return Role.LEADER
-        if self._state is _State.SYNCHRONIZED:
-            return Role.SYNCHRONIZED
-        if self._state is _State.KNOCKED_OUT:
-            return Role.KNOCKED_OUT
-        return Role.CONTENDER
+        return self._state
 
     def choose_action(self) -> RadioAction:
         rng = self.context.rng
         local_round = self.context.local_round
+        state = self._state
 
-        if self._state is _State.CONTENDER and self.schedule.completed(local_round):
+        if state is CONTENDER and local_round > self._total_rounds:
             self._become_leader()
+            state = LEADER
 
-        # rng.randint(1, width) without its three Python frames: CPython draws
-        # getrandbits(width.bit_length()) until the draw is below width, so the
-        # random stream (and every golden digest) is unchanged.
-        width = self._band_width
-        bits = width.bit_length()
-        draw = rng.getrandbits(bits)
-        while draw >= width:
-            draw = rng.getrandbits(bits)
-        frequency = draw + 1
+        frequency = randint_upto(rng, self._band_width)
 
-        if self._state is _State.CONTENDER:
-            probability = self.schedule.broadcast_probability(local_round)
-            if rng.random() < probability:
-                message = ContenderMessage(
-                    timestamp=self._my_timestamp(),
-                    epoch=self._current_epoch_index(local_round),
-                )
+        if state is CONTENDER:
+            epoch = self._epoch
+            if local_round not in self._epoch_rounds:
+                epoch = self._enter_epoch(local_round)
+            if rng.random() < epoch.broadcast_probability:
+                message = ContenderMessage(timestamp=self._my_timestamp(), epoch=epoch.index)
                 return broadcast(frequency, message)
             return listen(frequency)
 
-        if self._state is _State.LEADER:
+        if state is LEADER:
             if rng.random() < self.config.leader_broadcast_probability:
                 return broadcast(frequency, self._leader_message())
             return listen(frequency)
 
-        if self._state is _State.SYNCHRONIZED and self.config.synchronized_nodes_assist:
+        if state is SYNCHRONIZED and self.config.synchronized_nodes_assist:
             output = self.current_output()
             if output is not None and rng.random() < 0.5:
                 return broadcast(frequency, LeaderMessage(leader_uid=self.context.uid, round_number=output))
@@ -127,9 +121,9 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if isinstance(message, LeaderMessage):
             self._adopt_from_leader(message)
             return
-        if isinstance(message, ContenderMessage) and self._state is _State.CONTENDER:
+        if isinstance(message, ContenderMessage) and self._state is CONTENDER:
             if message.timestamp > self._my_timestamp():
-                self._state = _State.KNOCKED_OUT
+                self._state = KNOCKED_OUT
                 self._knocked_out_by = message.timestamp
 
     # -- introspection (used by tests and metrics) ---------------------------
@@ -146,15 +140,19 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     # -- internals ------------------------------------------------------------
 
+    def _enter_epoch(self, local_round: int) -> EpochSpec:
+        """Look up the epoch of a contender's ``local_round`` (within the schedule)."""
+        epoch = self.schedule.epoch_of_round(local_round)
+        assert epoch is not None  # contenders past the schedule become leader first
+        self._epoch = epoch
+        self._epoch_rounds = self.schedule.epoch_rounds(epoch)
+        return epoch
+
     def _my_timestamp(self) -> Timestamp:
         return Timestamp(rounds_active=self.context.local_round, uid=self.context.uid)
 
-    def _current_epoch_index(self, local_round: int) -> int:
-        epoch = self.schedule.epoch_of_round(local_round)
-        return epoch.index if epoch is not None else self.schedule.epoch_count
-
     def _become_leader(self) -> None:
-        self._state = _State.LEADER
+        self._state = LEADER
         # The leader numbers rounds by its own activation age.
         self.adopt_round_number(self.context.local_round)
 
@@ -164,11 +162,11 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return LeaderMessage(leader_uid=self.context.uid, round_number=output)
 
     def _adopt_from_leader(self, message: LeaderMessage) -> None:
-        if self._state is _State.LEADER:
+        if self._state is LEADER:
             # A second leader hearing the first adopts nothing; uniqueness is
             # guaranteed w.h.p. by the analysis, and the checker will flag
             # disagreement if it ever happens with unlucky constants.
             return
-        if self._state is not _State.SYNCHRONIZED:
-            self._state = _State.SYNCHRONIZED
+        if self._state is not SYNCHRONIZED:
+            self._state = SYNCHRONIZED
         self.adopt_round_number(message.round_number)

@@ -17,7 +17,7 @@ record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeGuard
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.radio.actions import RadioAction
@@ -55,6 +55,10 @@ class SingleHopRadioNetwork:
         self._band = band
         #: The band as a frozenset, for O(t) validation of disruption sets.
         self._band_set: frozenset[Frequency] = frozenset(band.all_frequencies())
+        #: The last disruption set found to be a frozenset of in-band ints.
+        #: Frozensets are immutable and this reference keeps the object alive,
+        #: so the simulator's validated set is not re-checked by the resolver.
+        self._checked_disruption: frozenset[Frequency] = frozenset()
         #: Interned reception outcomes.  An outcome with no message is fully
         #: determined by ``(frequency, broadcast, collision, disrupted)`` —
         #: at most ``8·F`` distinct values — and outcomes are immutable, so
@@ -68,6 +72,19 @@ class SingleHopRadioNetwork:
     def band(self) -> FrequencyBand:
         """The frequency band this network operates on."""
         return self._band
+
+    def _in_band_ints(self, disrupted: Iterable[Frequency]) -> TypeGuard[frozenset[Frequency]]:
+        """True if ``disrupted`` is a ``frozenset`` of in-band ``int`` frequencies."""
+        if disrupted is self._checked_disruption:
+            return True
+        if (
+            type(disrupted) is frozenset
+            and disrupted <= self._band_set
+            and all(type(f) is int for f in disrupted)
+        ):
+            self._checked_disruption = disrupted
+            return True
+        return False
 
     def resolve_round(
         self,
@@ -95,20 +112,17 @@ class SingleHopRadioNetwork:
         NetworkResolution
             Per-node outcomes and the aggregate activity record.
         """
-        # Fast path: the simulator hands us an already-budget-validated
-        # frozenset of in-band ints, so a subset check replaces per-frequency
-        # validation.  Anything else (or any non-int) takes the strict path.
-        if isinstance(disrupted, frozenset) and all(type(f) is int for f in disrupted):
-            disrupted_set = disrupted
-            if not disrupted_set <= self._band_set:
-                for f in disrupted_set:
-                    self._band.validate(f)
-        else:
-            disrupted_set = frozenset(self._band.validate(f) for f in disrupted)
-
-        broadcasters: dict[Frequency, list[NodeId]] = {}
-        listeners: dict[Frequency, list[NodeId]] = {}
         band = self._band
+        # Fast path: the simulator hands us an already-budget-validated
+        # frozenset of in-band ints.  Anything else takes the strict path.
+        if disrupted is self._checked_disruption or self._in_band_ints(disrupted):
+            disrupted_set = disrupted
+        else:
+            disrupted_set = frozenset(band.validate(f) for f in disrupted)
+
+        # One pass over the actions: per tuned frequency, the node ids that
+        # broadcast and the node ids that listen.
+        tuned: dict[Frequency, tuple[list[NodeId], list[NodeId]]] = {}
         band_size = band.size
         broadcast_intent = Intent.BROADCAST
         for node_id, action in actions.items():
@@ -120,85 +134,64 @@ class SingleHopRadioNetwork:
                     f"node {node_id} tuned to frequency {frequency} outside band "
                     f"[1..{band_size}]"
                 )
-            target = broadcasters if action.intent is broadcast_intent else listeners
-            bucket = target.get(frequency)
-            if bucket is None:
-                target[frequency] = [node_id]
+            buckets = tuned.get(frequency)
+            if buckets is None:
+                buckets = tuned[frequency] = ([], [])
+            if action.intent is broadcast_intent:
+                buckets[0].append(node_id)
             else:
-                bucket.append(node_id)
+                buckets[1].append(node_id)
 
         outcomes: dict[NodeId, ReceptionOutcome] = {}
         per_frequency: dict[Frequency, FrequencyActivity] = {}
         outcome_cache = self._outcome_cache
-
-        used_frequencies = broadcasters.keys() | listeners.keys()
-        for frequency in sorted(used_frequencies):
-            freq_bucket = broadcasters.get(frequency)
-            listen_bucket = listeners.get(frequency)
-            freq_broadcasters = tuple(sorted(freq_bucket)) if freq_bucket else ()
-            freq_listeners = tuple(sorted(listen_bucket)) if listen_bucket else ()
+        for frequency in sorted(tuned):
+            sent, heard = tuned[frequency]
             is_disrupted = frequency in disrupted_set
-            broadcaster_count = len(freq_broadcasters)
+            broadcaster_count = len(sent)
             collision = broadcaster_count >= 2
             delivered = broadcaster_count == 1 and not is_disrupted
-
-            message = None
-            if delivered:
-                message = actions[freq_broadcasters[0]].message
-
+            if collision:
+                sent.sort()
+            if len(heard) > 1:
+                heard.sort()
+            broadcasters = tuple(sent) if sent else ()
+            listeners = tuple(heard) if heard else ()
             per_frequency[frequency] = FrequencyActivity(
-                frequency=frequency,
-                broadcasters=freq_broadcasters,
-                listeners=freq_listeners,
-                disrupted=is_disrupted,
-                delivered=delivered,
+                frequency, broadcasters, listeners, is_disrupted, delivered
             )
 
-            if freq_broadcasters:
+            if broadcasters:
                 key = (frequency, True, collision, is_disrupted)
                 outcome = outcome_cache.get(key)
                 if outcome is None:
-                    outcome = ReceptionOutcome(
-                        frequency=frequency,
-                        broadcast=True,
-                        message=None,
-                        collision=collision,
-                        disrupted=is_disrupted,
+                    outcome = outcome_cache[key] = ReceptionOutcome(
+                        frequency, True, None, collision, is_disrupted
                     )
-                    outcome_cache[key] = outcome
-                for node_id in freq_broadcasters:
+                for node_id in broadcasters:
                     outcomes[node_id] = outcome
-            if freq_listeners:
-                if message is None:
+            if listeners:
+                if delivered:
+                    outcome = ReceptionOutcome(
+                        frequency, False, actions[broadcasters[0]].message, collision, is_disrupted
+                    )
+                else:
                     key = (frequency, False, collision, is_disrupted)
                     outcome = outcome_cache.get(key)
                     if outcome is None:
-                        outcome = ReceptionOutcome(
-                            frequency=frequency,
-                            broadcast=False,
-                            message=None,
-                            collision=collision,
-                            disrupted=is_disrupted,
+                        outcome = outcome_cache[key] = ReceptionOutcome(
+                            frequency, False, None, collision, is_disrupted
                         )
-                        outcome_cache[key] = outcome
-                else:
-                    outcome = ReceptionOutcome(
-                        frequency=frequency,
-                        broadcast=False,
-                        message=message,
-                        collision=collision,
-                        disrupted=is_disrupted,
-                    )
-                for node_id in freq_listeners:
+                for node_id in listeners:
                     outcomes[node_id] = outcome
 
         activity = RoundActivity(
-            global_round=global_round,
-            per_frequency=per_frequency,
-            disrupted=disrupted_set,
-            activations=tuple(sorted(activations)),
+            global_round,
+            per_frequency,
+            disrupted_set,
+            tuple(sorted(activations)) if activations else (),
         )
-        return NetworkResolution(outcomes=outcomes, activity=activity)
+        return NetworkResolution(outcomes, activity)
 
     def validate_disruption_budget(self, disrupted: Iterable[Frequency], budget: int) -> frozenset[Frequency]:
         """Check that a disruption set respects the adversary budget ``t``.
@@ -206,6 +199,10 @@ class SingleHopRadioNetwork:
         Returns the validated set.  Raises :class:`ConfigurationError` if the
         set exceeds the budget or contains out-of-band frequencies.
         """
+        # Fast path: a frozenset of in-band ints within budget is returned as
+        # is (exactly what ``frozenset(disrupted)`` returns for a frozenset).
+        if self._in_band_ints(disrupted) and len(disrupted) <= budget:
+            return disrupted
         disrupted_set = frozenset(disrupted)
         for frequency in disrupted_set:
             self._band.validate(frequency)

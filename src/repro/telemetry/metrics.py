@@ -342,6 +342,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
         self._lock = threading.Lock()
+        #: The six ``worker.*`` instruments :meth:`merge_delta` feeds, bound
+        #: on its first call (instruments are never unregistered).
+        self._worker_instruments: (
+            tuple[Counter, Counter, Counter, Counter, Counter, Histogram] | None
+        ) = None
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the counter called ``name``."""
@@ -397,31 +402,46 @@ class MetricsRegistry:
         Deterministic and order-independent: every field is added, so merging
         the same multiset of deltas in any interleaving (any worker count, any
         chunk completion order) yields the same registry state.  The usual
-        registry conflict checks apply — a ``worker.*`` name already
-        registered as a different kind, or the histogram registered with other
-        buckets, raises instead of silently corrupting the totals — and
-        :meth:`Histogram.merge_counts` re-validates the delta's bucket layout.
+        registry conflict checks apply on the first merge, which binds the
+        six instruments — a ``worker.*`` name already registered as a
+        different kind, or the histogram registered with other buckets,
+        raises instead of silently corrupting the totals (and binds nothing)
+        — and :meth:`Histogram.merge_counts` re-validates the delta's bucket
+        layout on every merge.
         """
-        self.counter(
-            "worker.chunks_completed", help="chunks finished inside worker processes"
-        ).inc(delta.chunks)
-        self.counter(
-            "worker.trials_executed", help="trials executed inside worker processes"
-        ).inc(delta.trials)
-        self.counter(
-            "worker.rounds_simulated", help="simulated rounds summed across worker trials"
-        ).inc(delta.rounds)
-        self.counter(
-            "worker.scalar_trials", help="worker trials run on the scalar per-seed loop"
-        ).inc(delta.scalar_trials)
-        self.counter(
-            "worker.batch_trials", help="worker trials run on the vectorized lockstep kernel"
-        ).inc(delta.batch_trials)
-        self.histogram(
-            "worker.chunk_simulate_seconds",
-            help="in-worker wall time per executed chunk",
-            buckets=WORKER_SECONDS_BUCKETS,
-        ).merge_counts(
+        bound = self._worker_instruments
+        if bound is None:
+            bound = self._worker_instruments = (
+                self.counter(
+                    "worker.chunks_completed", help="chunks finished inside worker processes"
+                ),
+                self.counter(
+                    "worker.trials_executed", help="trials executed inside worker processes"
+                ),
+                self.counter(
+                    "worker.rounds_simulated",
+                    help="simulated rounds summed across worker trials",
+                ),
+                self.counter(
+                    "worker.scalar_trials", help="worker trials run on the scalar per-seed loop"
+                ),
+                self.counter(
+                    "worker.batch_trials",
+                    help="worker trials run on the vectorized lockstep kernel",
+                ),
+                self.histogram(
+                    "worker.chunk_simulate_seconds",
+                    help="in-worker wall time per executed chunk",
+                    buckets=WORKER_SECONDS_BUCKETS,
+                ),
+            )
+        chunks, trials, rounds, scalar_trials, batch_trials, seconds = bound
+        chunks.inc(delta.chunks)
+        trials.inc(delta.trials)
+        rounds.inc(delta.rounds)
+        scalar_trials.inc(delta.scalar_trials)
+        batch_trials.inc(delta.batch_trials)
+        seconds.merge_counts(
             delta.simulate_seconds_buckets,
             delta.simulate_seconds_sum,
             delta.simulate_seconds_count,

@@ -128,6 +128,44 @@ class TestPositions:
     def test_rejects_non_positive_round(self, params):
         with pytest.raises(ConfigurationError):
             GoodSamaritanSchedule(params).position_of_round(0)
+        with pytest.raises(ConfigurationError):
+            GoodSamaritanSchedule(params).window_of_round(0)
+
+    def test_window_of_round_agrees_with_the_per_round_positions(self, params):
+        """Every round's window spans it and carries its position's epoch data."""
+        schedule = GoodSamaritanSchedule(params)
+        for local_round in range(1, schedule.total_rounds + 50):
+            window = schedule.window_of_round(local_round)
+            assert window.first_round <= local_round <= window.last_round
+            position = schedule.position_of_round(local_round)
+            if position is not None:
+                assert not window.fallback and not window.completed
+                assert (window.super_epoch, window.epoch) == (position.super_epoch, position.epoch)
+                assert window.first_round == local_round - position.round_in_epoch + 1
+                assert window.last_round - window.first_round + 1 == schedule.epoch_length(
+                    position.super_epoch
+                )
+                assert window.regular == (position.epoch <= params.log_participants)
+                assert window.prefix_width == schedule.prefix_width(position.super_epoch)
+                assert window.broadcast_probability == schedule.broadcast_probability(
+                    position.epoch
+                )
+            else:
+                fallback = schedule.fallback_position_of_round(local_round)
+                assert window.fallback and window.super_epoch == 0 and not window.regular
+                assert (window.epoch, window.completed) == (fallback.epoch, fallback.completed)
+                assert window.broadcast_probability == schedule.fallback_broadcast_probability(
+                    fallback.epoch
+                )
+            # Every round of the span yields the same window.
+            assert schedule.window_of_round(window.first_round) == window
+            assert schedule.window_of_round(window.last_round) == window
+
+    def test_window_after_the_fallback_is_unbounded(self, params):
+        schedule = GoodSamaritanSchedule(params)
+        done = schedule.window_of_round(schedule.total_rounds + 1)
+        assert done.completed and done.first_round == schedule.total_rounds + 1
+        assert schedule.window_of_round(10 * schedule.total_rounds) == done
 
 
 class TestAdaptiveBounds:

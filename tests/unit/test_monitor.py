@@ -161,8 +161,10 @@ class TestWorkerStatsDelta:
     def test_merge_into_conflicting_kind_raises(self):
         registry = MetricsRegistry()
         registry.gauge("worker.trials_executed")
-        with pytest.raises(ConfigurationError, match="already registered"):
-            registry.merge_delta(sample_delta())
+        # A failed first merge binds nothing, so every later merge re-checks.
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="already registered"):
+                registry.merge_delta(sample_delta())
 
     def test_merge_rejects_foreign_bucket_layout(self):
         registry = MetricsRegistry()

@@ -113,3 +113,38 @@ class TestBudgetValidation:
     def test_budget_rejects_out_of_band(self, network):
         with pytest.raises(ConfigurationError):
             network.validate_disruption_budget({99}, 3)
+
+
+class TestFrozensetFastPath:
+    """In-band int frozensets skip re-validation; everything else errs as before."""
+
+    def test_budget_returns_a_valid_frozenset_itself(self, network):
+        disrupted = frozenset({1, 3})
+        assert network.validate_disruption_budget(disrupted, 2) is disrupted
+
+    @pytest.mark.parametrize(
+        "disrupted, budget, message",
+        [
+            ({9}, 3, "frequency 9 outside band"),
+            ({0}, 3, "frequency 0 outside band"),
+            ({2.0}, 3, "frequency 2.0 outside band"),
+            ({1, 2, 3}, 2, "disrupted 3 frequencies, budget is 2"),
+        ],
+    )
+    def test_budget_errors_are_the_same_for_sets_and_frozensets(
+        self, network, disrupted, budget, message
+    ):
+        for container in (set, frozenset):
+            with pytest.raises(ConfigurationError, match=message):
+                network.validate_disruption_budget(container(disrupted), budget)
+
+    def test_resolver_rejects_what_the_budget_check_rejects(self, network):
+        for disrupted in (frozenset({9}), frozenset({2.0}), {9}):
+            with pytest.raises(ConfigurationError, match="outside band"):
+                network.resolve_round(1, {0: listen(2)}, disrupted=disrupted)
+
+    def test_resolver_accepts_a_validated_set_and_records_it(self, network):
+        disrupted = network.validate_disruption_budget(frozenset({2}), 1)
+        resolution = network.resolve_round(1, {0: broadcast(2, MESSAGE), 1: listen(2)}, disrupted)
+        assert resolution.activity.disrupted == {2}
+        assert resolution.outcomes[1].message is None and resolution.outcomes[1].disrupted

@@ -92,6 +92,16 @@ class TestPerRoundQueries:
         assert schedule.epoch_of_round(boundary + 1).index == 2
         assert schedule.epoch_of_round(schedule.total_rounds).is_final
 
+    def test_epoch_rounds_span_exactly_the_rounds_of_each_epoch(self, large_params):
+        schedule = TrapdoorSchedule(large_params)
+        covered = []
+        for epoch in schedule.epochs:
+            rounds = schedule.epoch_rounds(epoch)
+            assert len(rounds) == epoch.length
+            assert all(schedule.epoch_of_round(r) is epoch for r in rounds)
+            covered.extend(rounds)
+        assert covered == list(range(1, schedule.total_rounds + 1))
+
     def test_round_beyond_schedule_returns_none_and_completed(self, large_params):
         schedule = TrapdoorSchedule(large_params)
         beyond = schedule.total_rounds + 1
