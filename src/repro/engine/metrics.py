@@ -100,10 +100,6 @@ class MetricsObserver(BaseRoundObserver):
     def __init__(self) -> None:
         self._metrics = ExecutionMetrics()
         self._leader_nodes: set[NodeId] = set()
-        # The previous round's role map and its per-role node counts: roles
-        # change only a few times in a node's life, so most rounds reuse them.
-        self._last_roles: Mapping[NodeId, Role] = {}
-        self._role_tally: dict[Role, int] = {}
 
     def on_activation(self, node_id: NodeId, global_round: GlobalRound) -> None:
         self._metrics.activation_rounds[node_id] = global_round
@@ -133,21 +129,13 @@ class MetricsObserver(BaseRoundObserver):
         metrics.collisions += collisions
         metrics.disrupted_deliveries_prevented += prevented
         metrics.disrupted_frequency_rounds += len(record.activity.disrupted)
-        roles = record.roles
-        tally = self._role_tally
-        if roles != self._last_roles:
-            tally = {}
-            leader_nodes = self._leader_nodes
-            leader_role = Role.LEADER
-            for node_id, role in roles.items():
-                tally[role] = tally.get(role, 0) + 1
-                if role is leader_role:
-                    leader_nodes.add(node_id)
-            self._last_roles = roles
-            self._role_tally = tally
         role_rounds = metrics.role_rounds
-        for role, count in tally.items():
-            role_rounds[role] += count
+        leader_nodes = self._leader_nodes
+        leader_role = Role.LEADER
+        for node_id, role in record.roles.items():
+            role_rounds[role] += 1
+            if role is leader_role:
+                leader_nodes.add(node_id)
         sync_latencies = metrics.sync_latencies
         activation_rounds = metrics.activation_rounds
         global_round = record.global_round

@@ -48,11 +48,11 @@ from repro.types import Frequency, Role
 
 # Module-level aliases: a global load is several times cheaper than an
 # attribute lookup through the Enum metaclass on the per-round path.
-CONTENDER = Role.CONTENDER
-SAMARITAN = Role.SAMARITAN
-PASSIVE = Role.PASSIVE
-LEADER = Role.LEADER
-SYNCHRONIZED = Role.SYNCHRONIZED
+_CONTENDER = Role.CONTENDER
+_SAMARITAN = Role.SAMARITAN
+_PASSIVE = Role.PASSIVE
+_LEADER = Role.LEADER
+_SYNCHRONIZED = Role.SYNCHRONIZED
 
 
 class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
@@ -73,7 +73,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         super().__init__(context)
         self.config = config or GoodSamaritanConfig()
         self.schedule = GoodSamaritanSchedule(context.params, self.config)
-        self._state = CONTENDER
+        self._state = _CONTENDER
         self._ledger = SuccessLedger()
         self._this_round_special = False
         self._leader_via_fallback = False
@@ -104,9 +104,9 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def choose_action(self) -> RadioAction:
         self._this_round_special = False
         state = self._state
-        if state is LEADER:
+        if state is _LEADER:
             return self._leader_action()
-        if state is PASSIVE or state is SYNCHRONIZED:
+        if state is _PASSIVE or state is _SYNCHRONIZED:
             return listen(self._monitoring_frequency())
 
         window = self._current_window()
@@ -121,9 +121,9 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if isinstance(message, LeaderMessage):
             self._adopt_from_leader(message)
             return
-        if self._state is CONTENDER:
+        if self._state is _CONTENDER:
             self._contender_reception(message)
-        elif self._state is SAMARITAN:
+        elif self._state is _SAMARITAN:
             self._samaritan_reception(message)
 
     # -- introspection (tests, metrics) ---------------------------------------
@@ -196,9 +196,9 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             # ignored.  Fallback portion: timestamps decide (modified Trapdoor).
             if self.in_fallback:
                 if message.timestamp > self._my_timestamp():
-                    self._state = PASSIVE
+                    self._state = _PASSIVE
             else:
-                self._state = SAMARITAN
+                self._state = _SAMARITAN
                 self._downgrade_round = self.context.local_round
             return
         if isinstance(message, SamaritanMessage):
@@ -207,7 +207,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def _samaritan_reception(self, message) -> None:
         if isinstance(message, SamaritanMessage):
             # A samaritan hearing another samaritan is knocked out.
-            self._state = PASSIVE
+            self._state = _PASSIVE
             return
         if isinstance(message, ContenderMessage):
             self._maybe_record_success(message)
@@ -239,7 +239,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def _fallback_action(self, window: EpochWindow) -> RadioAction:
         rng = self.context.rng
         # Only contenders and samaritans reach the fallback action.
-        contender = self._state is CONTENDER
+        contender = self._state is _CONTENDER
 
         if contender and window.completed:
             self._become_leader(via_fallback=True)
@@ -279,14 +279,14 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return randint_upto(rng, self._frequencies)
 
     def _become_leader(self, via_fallback: bool) -> None:
-        self._state = LEADER
+        self._state = _LEADER
         self._leader_via_fallback = via_fallback
         self.adopt_round_number(self.context.local_round)
 
     def _adopt_from_leader(self, message: LeaderMessage) -> None:
-        if self._state is LEADER:
+        if self._state is _LEADER:
             return
-        self._state = SYNCHRONIZED
+        self._state = _SYNCHRONIZED
         self.adopt_round_number(message.round_number)
 
     # -- helpers --------------------------------------------------------------------
@@ -295,7 +295,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return Timestamp(rounds_active=self.context.local_round, uid=self.context.uid)
 
     def _identity_message(self, window: EpochWindow, special: bool):
-        if self._state is SAMARITAN:
+        if self._state is _SAMARITAN:
             return SamaritanMessage(
                 timestamp=self._my_timestamp(),
                 reports=self._ledger.report(),

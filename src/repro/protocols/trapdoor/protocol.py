@@ -33,10 +33,10 @@ from repro.types import Role
 
 # Module-level aliases: a global load is several times cheaper than an
 # attribute lookup through the Enum metaclass on the per-round path.
-CONTENDER = Role.CONTENDER
-KNOCKED_OUT = Role.KNOCKED_OUT
-LEADER = Role.LEADER
-SYNCHRONIZED = Role.SYNCHRONIZED
+_CONTENDER = Role.CONTENDER
+_KNOCKED_OUT = Role.KNOCKED_OUT
+_LEADER = Role.LEADER
+_SYNCHRONIZED = Role.SYNCHRONIZED
 
 
 class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
@@ -57,9 +57,8 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         super().__init__(context)
         self.config = config or TrapdoorConfig()
         self.schedule = TrapdoorSchedule(context.params, self.config)
-        self._state = CONTENDER
+        self._state = _CONTENDER
         self._band_width = self.schedule.effective_frequencies
-        self._total_rounds = self.schedule.total_rounds
         self._knocked_out_by: Timestamp | None = None
         # The contender's current epoch and the local rounds it spans, looked
         # up again only when the local round leaves that span.
@@ -85,13 +84,13 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         local_round = self.context.local_round
         state = self._state
 
-        if state is CONTENDER and local_round > self._total_rounds:
+        if state is _CONTENDER and self.schedule.completed(local_round):
             self._become_leader()
-            state = LEADER
+            state = _LEADER
 
         frequency = randint_upto(rng, self._band_width)
 
-        if state is CONTENDER:
+        if state is _CONTENDER:
             epoch = self._epoch
             if local_round not in self._epoch_rounds:
                 epoch = self._enter_epoch(local_round)
@@ -100,12 +99,12 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
                 return broadcast(frequency, message)
             return listen(frequency)
 
-        if state is LEADER:
+        if state is _LEADER:
             if rng.random() < self.config.leader_broadcast_probability:
                 return broadcast(frequency, self._leader_message())
             return listen(frequency)
 
-        if state is SYNCHRONIZED and self.config.synchronized_nodes_assist:
+        if state is _SYNCHRONIZED and self.config.synchronized_nodes_assist:
             output = self.current_output()
             if output is not None and rng.random() < 0.5:
                 return broadcast(frequency, LeaderMessage(leader_uid=self.context.uid, round_number=output))
@@ -121,9 +120,9 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if isinstance(message, LeaderMessage):
             self._adopt_from_leader(message)
             return
-        if isinstance(message, ContenderMessage) and self._state is CONTENDER:
+        if isinstance(message, ContenderMessage) and self._state is _CONTENDER:
             if message.timestamp > self._my_timestamp():
-                self._state = KNOCKED_OUT
+                self._state = _KNOCKED_OUT
                 self._knocked_out_by = message.timestamp
 
     # -- introspection (used by tests and metrics) ---------------------------
@@ -152,7 +151,7 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return Timestamp(rounds_active=self.context.local_round, uid=self.context.uid)
 
     def _become_leader(self) -> None:
-        self._state = LEADER
+        self._state = _LEADER
         # The leader numbers rounds by its own activation age.
         self.adopt_round_number(self.context.local_round)
 
@@ -162,11 +161,11 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return LeaderMessage(leader_uid=self.context.uid, round_number=output)
 
     def _adopt_from_leader(self, message: LeaderMessage) -> None:
-        if self._state is LEADER:
+        if self._state is _LEADER:
             # A second leader hearing the first adopts nothing; uniqueness is
             # guaranteed w.h.p. by the analysis, and the checker will flag
             # disagreement if it ever happens with unlucky constants.
             return
-        if self._state is not SYNCHRONIZED:
-            self._state = SYNCHRONIZED
+        if self._state is not _SYNCHRONIZED:
+            self._state = _SYNCHRONIZED
         self.adopt_round_number(message.round_number)

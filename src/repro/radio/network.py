@@ -55,10 +55,6 @@ class SingleHopRadioNetwork:
         self._band = band
         #: The band as a frozenset, for O(t) validation of disruption sets.
         self._band_set: frozenset[Frequency] = frozenset(band.all_frequencies())
-        #: The last disruption set found to be a frozenset of in-band ints.
-        #: Frozensets are immutable and this reference keeps the object alive,
-        #: so the simulator's validated set is not re-checked by the resolver.
-        self._checked_disruption: frozenset[Frequency] = frozenset()
         #: Interned reception outcomes.  An outcome with no message is fully
         #: determined by ``(frequency, broadcast, collision, disrupted)`` —
         #: at most ``8·F`` distinct values — and outcomes are immutable, so
@@ -75,16 +71,11 @@ class SingleHopRadioNetwork:
 
     def _in_band_ints(self, disrupted: Iterable[Frequency]) -> TypeGuard[frozenset[Frequency]]:
         """True if ``disrupted`` is a ``frozenset`` of in-band ``int`` frequencies."""
-        if disrupted is self._checked_disruption:
-            return True
-        if (
+        return (
             type(disrupted) is frozenset
             and disrupted <= self._band_set
             and all(type(f) is int for f in disrupted)
-        ):
-            self._checked_disruption = disrupted
-            return True
-        return False
+        )
 
     def resolve_round(
         self,
@@ -115,7 +106,7 @@ class SingleHopRadioNetwork:
         band = self._band
         # Fast path: the simulator hands us an already-budget-validated
         # frozenset of in-band ints.  Anything else takes the strict path.
-        if disrupted is self._checked_disruption or self._in_band_ints(disrupted):
+        if self._in_band_ints(disrupted):
             disrupted_set = disrupted
         else:
             disrupted_set = frozenset(band.validate(f) for f in disrupted)
