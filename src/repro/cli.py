@@ -47,8 +47,8 @@ from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 # The module-level imports are what the argument parser needs plus what those
 # modules load anyway (the engine, protocols, adversaries, store, telemetry).
 # Anything only one command uses is imported inside its handler, so
-# `campaign run` never loads the service, the bench, the live monitor, the
-# search runner, or numpy (see the README's start-up note).
+# `campaign run` never loads the bench, the live monitor, the search runner,
+# or numpy (see the README's start-up note).
 from repro.adversary.registry import ADVERSARY_FACTORIES
 from repro.campaigns.spec import CAMPAIGN_WORKLOADS, CampaignSpec, workload_with_adversary
 from repro.campaigns.store import ResultStore
@@ -70,7 +70,6 @@ from repro.telemetry import Telemetry
 from repro.telemetry.events import FaultInjected, JsonlSink, RunCompleted, RunStarted
 
 if TYPE_CHECKING:
-    from repro.service.client import ServiceClient
     from repro.telemetry.monitor import RunMonitor
 
 #: The named protocol registry the scenario options draw from (shared with the
@@ -125,9 +124,9 @@ _AUTO_HELP = (
 def observability_options(include_monitor: bool = True) -> argparse.ArgumentParser:
     """The shared observability option group for executing subcommands.
 
-    One definition covers ``trials``, ``campaign run``, ``search run``,
-    ``serve``, and (telemetry flags only) ``bench run``, so every executing
-    command spells the flags identically and help text cannot drift.
+    One definition covers ``trials``, ``campaign run``, ``search run``, and
+    (telemetry flags only) ``bench run``, so every executing command spells
+    the flags identically and help text cannot drift.
     Inspection subcommands (status/export/compare) execute nothing, so they
     take none of these.
 
@@ -432,86 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="seconds between polls (default: 2.0)")
     mon_watch.add_argument("--max-polls", type=int, default=None,
                            help="give up after this many polls (default: until final)")
-
-    serve = sub.add_parser(
-        "serve",
-        parents=[observability],
-        help="run the campaign service: accept job submissions from many "
-             "clients, execute them one at a time on a shared pool",
-    )
-    serve.add_argument("--run-dir", required=True,
-                       help="service state root (per-job dirs under <run-dir>/jobs; "
-                            "relative job store paths resolve against it)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="NDJSON protocol port (default 0 = ephemeral; "
-                            "pair with --announce so clients can find it)")
-    serve.add_argument("--http-port", type=int, default=None,
-                       help="also serve the read-only HTTP status facade on this "
-                            "port: /status, /jobs, /jobs/<id>/status in the "
-                            "monitor snapshot schema (0 = ephemeral)")
-    serve.add_argument("--announce", default=None, metavar="PATH",
-                       help="write {host, port, http_port} JSON here once bound "
-                            "(what repro client --connect reads)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes on the service's shared execution "
-                            "pool, reused across every job (1 = serial)")
-    serve.add_argument("--pool-chunk", type=int, default=None,
-                       help="trials per dispatched pool chunk (default: automatic)")
-    serve.add_argument("--max-queued", type=int, default=8,
-                       help="admission bound on waiting jobs; submissions past "
-                            "it are refused immediately (default: 8)")
-
-    client = sub.add_parser("client", help="talk to a running campaign service")
-    client_sub = client.add_subparsers(dest="client_command", required=True)
-    connection = argparse.ArgumentParser(add_help=False)
-    connection.add_argument("--host", default="127.0.0.1")
-    connection.add_argument("--port", type=int, default=None,
-                            help="service NDJSON port")
-    connection.add_argument("--connect", default=None, metavar="PATH",
-                            help="announce file written by repro serve --announce "
-                                 "(alternative to --host/--port)")
-    connection.add_argument("--connect-retries", type=int, default=0,
-                            help="re-attempt a refused TCP connect this many times "
-                                 "with jittered exponential backoff (default: 0)")
-    connection.add_argument("--connect-backoff", type=float, default=0.2,
-                            help="base backoff seconds between connect attempts, "
-                                 "doubled per attempt (default: 0.2)")
-    cl_submit = client_sub.add_parser(
-        "submit", parents=[connection], help="submit a job-request JSON document"
-    )
-    cl_submit.add_argument("--request", required=True, metavar="PATH",
-                           help="job request JSON file ('-' reads stdin); see "
-                                "repro.service.protocol.JobRequest")
-    cl_submit.add_argument("--wait", action="store_true",
-                           help="stream the job to completion; exit 0 only if "
-                                "it completed")
-    cl_status = client_sub.add_parser(
-        "status", parents=[connection],
-        help="a job's status document (monitor schema), or the service's",
-    )
-    cl_status.add_argument("--job", default=None, help="job id (default: the service)")
-    cl_watch = client_sub.add_parser(
-        "watch", parents=[connection],
-        help="stream a job's progress records as NDJSON until it finishes",
-    )
-    cl_watch.add_argument("--job", required=True)
-    cl_cancel = client_sub.add_parser(
-        "cancel", parents=[connection],
-        help="cancel a job (queued: withdrawn now; running: stops at its "
-             "next commit, exactly resumable by resubmitting)",
-    )
-    cl_cancel.add_argument("--job", required=True)
-    client_sub.add_parser("jobs", parents=[connection], help="list every job")
-    cl_store = client_sub.add_parser(
-        "store-status", parents=[connection],
-        help="read-only store query served from the WAL store mid-run",
-    )
-    cl_store.add_argument("--store", required=True,
-                          help="store path (relative resolves against the "
-                               "service run dir)")
-    client_sub.add_parser("shutdown", parents=[connection],
-                          help="stop the service gracefully")
 
     sched = sub.add_parser("schedule", help="print the Trapdoor / Good Samaritan schedule")
     sched.add_argument("--protocol", choices=["trapdoor", "good-samaritan"], default="trapdoor")
@@ -1232,127 +1151,6 @@ def _command_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    from repro.service.server import CampaignService
-
-    telemetry = _telemetry_from_args(args)
-    service = CampaignService(
-        args.run_dir,
-        host=args.host,
-        port=args.port,
-        plan=_plan_from_args(args),
-        max_queued=args.max_queued,
-        monitor_interval=args.monitor_interval,
-        http_port=args.http_port,
-        telemetry=telemetry,
-        announce_path=args.announce,
-    )
-    service.start()
-    print(f"service   : ndjson protocol on {args.host}:{service.port} "
-          f"(submit with: repro client submit)")
-    if service.http_port is not None:
-        print(f"service   : status facade at http://{args.host}:{service.http_port}/status "
-              "(also /jobs, /jobs/<id>/status)")
-    if args.announce:
-        print(f"service   : announce file {args.announce}")
-    print(f"service   : run dir {args.run_dir}, "
-          f"{'shared pool, ' + str(args.workers) + ' workers' if args.workers > 1 else 'serial execution'}, "
-          f"max {args.max_queued} queued")
-    # The service-level monitor watches the shared pool's worker metrics
-    # across jobs (per-job monitors live under <run-dir>/jobs/<id>/).
-    monitor = _monitor_from_args(
-        args,
-        telemetry,
-        unit="trials",
-        total=None,
-        done_metrics=("worker.trials_executed",),
-    )
-    try:
-        service.wait()
-    except KeyboardInterrupt:
-        print("\nstopping  : draining; a running job halts at its next commit "
-              "(resume by resubmitting the identical request)")
-    finally:
-        if monitor is not None:
-            monitor.stop()
-        service.stop()
-        _finish_telemetry(telemetry, args)
-    return 0
-
-
-def _client_connection(args: argparse.Namespace) -> ServiceClient:
-    from repro.service.client import ServiceClient, connect_from_announce
-
-    if args.connect is not None:
-        return connect_from_announce(
-            args.connect,
-            connect_retries=args.connect_retries,
-            connect_backoff=args.connect_backoff,
-        )
-    if args.port is None:
-        raise ConfigurationError("repro client needs --port (or --connect ANNOUNCE_FILE)")
-    return ServiceClient(
-        args.host,
-        args.port,
-        connect_retries=args.connect_retries,
-        connect_backoff=args.connect_backoff,
-    )
-
-
-def _command_client(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError
-
-    try:
-        with _client_connection(args) as client:
-            return _client_dispatch(args, client)
-    except (ServiceError, ConfigurationError, ConnectionRefusedError) as error:
-        print(f"error     : {error}", file=sys.stderr)
-        return 1
-
-
-def _client_dispatch(args: argparse.Namespace, client: ServiceClient) -> int:
-    from repro.service.protocol import JobRequest
-
-    command = args.client_command
-    if command == "submit":
-        text = sys.stdin.read() if args.request == "-" else Path(args.request).read_text()
-        request = JobRequest.from_json(text)
-        if args.wait:
-            response = client.request({"op": "submit", "request": request.to_dict()})
-            print(json.dumps({k: v for k, v in response.items() if k != "ok"}))
-            final = None
-            for record in client.watch(response["job"]):
-                print(json.dumps(record))
-                final = record
-            return 0 if final is not None and final.get("state") == "completed" else 1
-        response = client.submit(request)
-        print(json.dumps({k: v for k, v in response.items() if k != "ok"}))
-        return 0
-    if command == "status":
-        print(json.dumps(client.status(args.job), indent=2))
-        return 0
-    if command == "watch":
-        final = None
-        for record in client.watch(args.job):
-            print(json.dumps(record))
-            final = record
-        return 0 if final is not None and final.get("state") in (None, "completed") else 1
-    if command == "cancel":
-        response = client.cancel(args.job)
-        print(json.dumps({k: v for k, v in response.items() if k != "ok"}))
-        return 0
-    if command == "jobs":
-        print(json.dumps(client.jobs(), indent=2))
-        return 0
-    if command == "store-status":
-        response = client.store_status(args.store)
-        print(json.dumps({k: v for k, v in response.items() if k != "ok"}, indent=2))
-        return 0
-    response = client.shutdown()
-    print(json.dumps({k: v for k, v in response.items() if k != "ok"}))
-    return 0
-
-
 def _command_experiments(_args: argparse.Namespace) -> int:
     from repro.experiments.registry import EXPERIMENTS
 
@@ -1434,8 +1232,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "search": _command_search,
         "bench": _command_bench,
         "monitor": _command_monitor,
-        "serve": _command_serve,
-        "client": _command_client,
         "schedule": _command_schedule,
         "experiments": _command_experiments,
         "bounds": _command_bounds,

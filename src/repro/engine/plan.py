@@ -1,44 +1,35 @@
 """The public execution surface: :class:`ExecutionPlan`.
 
 Every execution knob — worker count, pool chunk size, the batch kernel, and
-the telemetry outputs — lives in one frozen, JSON-round-trippable plan
-object, and ``plan=`` is the only way to pass them:
-
-* :func:`~repro.engine.runner.run_trials`,
-  :func:`~repro.engine.runner.run_reduced_trials`,
-  :class:`~repro.campaigns.runner.CampaignRunner`,
-  :class:`~repro.search.runner.StrategySearch`, and
-  :meth:`~repro.search.objective.SearchObjective.evaluate` take ``plan=``
-  and no other execution keyword;
-* a service :class:`~repro.service.protocol.JobRequest` embeds the plan's
-  JSON form verbatim, so the wire schema and the Python API are one surface.
+the telemetry outputs — lives in one frozen plan object, and ``plan=`` is the
+only way to pass them: :func:`~repro.engine.runner.run_trials`,
+:func:`~repro.engine.runner.run_reduced_trials`,
+:class:`~repro.campaigns.runner.CampaignRunner`,
+:class:`~repro.search.runner.StrategySearch`, and
+:meth:`~repro.search.objective.SearchObjective.evaluate` take ``plan=`` and no
+other execution keyword.  The CLI builds its plan from the command-line
+execution flags.
 
 A plan never changes results: it only chooses *where* work executes (serial,
 worker pool, vectorized lockstep kernel) and what observability rides along.
 The golden-equivalence suite pins ``plan=`` dispatch bit-identical to the
 serial engine.  A live :class:`~repro.engine.pool.ExecutionPool` is
-deliberately **not** part of the plan — pools are process-local handles that
-cannot cross a serialization boundary; callers that share one pool across
-subsystems keep passing ``pool=`` alongside the plan (the pool wins for
-dispatch; the plan still contributes ``batch``).
+deliberately **not** part of the plan — pools are process-local handles;
+callers that share one pool across subsystems keep passing ``pool=`` alongside
+the plan (the pool wins for dispatch; the plan still contributes ``batch``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Literal, Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Literal, Optional, Union
 
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.pool import ExecutionPool
     from repro.telemetry import Telemetry
-
-#: Schema tag embedded in every serialized plan.  Bump on any breaking field
-#: change — the service refuses job requests whose plan schema it cannot read.
-PLAN_SCHEMA = "repro.execution-plan/v1"
 
 #: The ``workers`` value that lets the program pick the path (see
 #: :func:`choose_workers`).
@@ -90,7 +81,7 @@ def choose_workers(
 
 @dataclass(frozen=True, slots=True)
 class ExecutionPlan:
-    """How a batch of simulations should execute — one serializable object.
+    """How a batch of simulations should execute — one frozen value.
 
     Attributes
     ----------
@@ -194,59 +185,6 @@ class ExecutionPlan:
         from repro.engine.pool import ExecutionPool
 
         return ExecutionPool(self.worker_count, chunk_size=self.pool_chunk, telemetry=telemetry)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """The plan as a JSON-shaped dict (schema-tagged, every field present)."""
-        return {
-            "schema": PLAN_SCHEMA,
-            "workers": self.workers,
-            "pool_chunk": self.pool_chunk,
-            "batch": self.batch,
-            "telemetry_events": self.telemetry_events,
-            "telemetry_rotate_bytes": self.telemetry_rotate_bytes,
-            "metrics_out": self.metrics_out,
-        }
-
-    def to_json(self) -> str:
-        """The plan as canonical JSON text."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPlan":
-        """Rebuild a plan from :meth:`to_dict` output (schema-checked, strict).
-
-        Unknown keys are refused rather than silently dropped — a job request
-        with a misspelled knob must fail admission, not run with defaults.
-        """
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"an execution plan must be a JSON object, got {type(data).__name__}"
-            )
-        schema = data.get("schema", PLAN_SCHEMA)
-        if schema != PLAN_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported execution-plan schema {schema!r} "
-                f"(this build reads {PLAN_SCHEMA!r})"
-            )
-        known = {field.name for field in fields(cls)}
-        unknown = sorted(set(data) - known - {"schema"})
-        if unknown:
-            raise ConfigurationError(
-                f"execution plan has unknown fields: {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        return cls(**{name: data[name] for name in known if name in data})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExecutionPlan":
-        """Rebuild a plan from :meth:`to_json` output."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"execution plan is not valid JSON: {error}") from error
-        return cls.from_dict(data)
 
     def describe(self) -> str:
         """One-line summary for logs and CLI banners."""

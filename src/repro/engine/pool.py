@@ -229,8 +229,8 @@ def warn_serial_fallback(
     """The one shared unpicklable-work degrade-to-serial notification.
 
     Every fallback site routes through here, which lands the degradation in
-    three places at once: the ``repro.engine.pool`` stdlib logger (so
-    long-running services see it in their logs, not just on a stderr that a
+    three places at once: the ``repro.engine.pool`` stdlib logger (so a
+    long-running process has it in its logs, not just on a stderr that a
     ``warnings`` filter shows once per process), the classic
     :class:`RuntimeWarning` (so tests and interactive use keep their existing
     contract), and — when a live telemetry handle is passed — a

@@ -241,8 +241,8 @@ def run_trials(
         (heavy sweeps typically want :attr:`TraceLevel.NONE`).
     pool:
         Optional live :class:`~repro.engine.pool.ExecutionPool` to share
-        across calls (campaigns, search, the service hold one).  A live pool
-        is not serializable, so it stays a separate argument from the plan
+        across calls (campaigns and search hold one).  A live pool is a
+        process-local handle, so it stays a separate argument from the plan
         and wins dispatch when both are given.
     plan:
         The :class:`~repro.engine.plan.ExecutionPlan` for the batch: worker

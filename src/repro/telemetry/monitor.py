@@ -12,9 +12,8 @@ in flight, two complementary ways:
   ``worker.*`` delta counters, the last N events, and the full registry
   snapshot;
 * **HTTP endpoints** — an optional stdlib
-  :class:`~http.server.ThreadingHTTPServer` (one handler thread per request,
-  the serving shape the campaign-service roadmap item needs) exposes
-  ``/status`` (the same JSON), ``/metrics``
+  :class:`~http.server.ThreadingHTTPServer` (one handler thread per request)
+  exposes ``/status`` (the same JSON), ``/metrics``
   (:func:`~repro.telemetry.export.render_prometheus` text exposition, ready
   for a Prometheus scrape), and ``/events`` (a JSONL tail of the attached
   sink's stream via :func:`~repro.telemetry.events.read_jsonl_events`).
@@ -72,6 +71,13 @@ _REQUIRED_FIELDS = (
 #: Default progress counters: the campaign path (committed + resume-reused).
 DEFAULT_DONE_METRICS = ("campaign.cells_committed", "campaign.cells_reused")
 
+#: How many of the latest events the status document retains.
+RECENT_EVENTS = 32
+
+#: Smoothing factor of the exponentially weighted throughput estimate
+#: (higher = more reactive).
+EWMA_ALPHA = 0.3
+
 
 class RunMonitor:
     """Publishes one live telemetry handle's state on a wall-clock interval.
@@ -104,11 +110,6 @@ class RunMonitor:
         Optional gauge name published as the best score so far (the search
         path's ``search.best_score``); the best *strategy* rides along from
         ``best-candidate-improved`` events.
-    recent_events:
-        How many of the latest events the status document retains.
-    ewma_alpha:
-        Smoothing factor for the exponentially weighted throughput estimate
-        (higher = more reactive).
     """
 
     def __init__(
@@ -123,8 +124,6 @@ class RunMonitor:
         total: Optional[int] = None,
         done_metrics: Sequence[str] = DEFAULT_DONE_METRICS,
         best_metric: Optional[str] = None,
-        recent_events: int = 32,
-        ewma_alpha: float = 0.3,
     ) -> None:
         if not telemetry.enabled:
             raise ConfigurationError(
@@ -137,10 +136,6 @@ class RunMonitor:
             raise ConfigurationError(f"monitor interval must be positive, got {interval}")
         if total is not None and total < 0:
             raise ConfigurationError(f"monitor total must be non-negative, got {total}")
-        if recent_events < 1:
-            raise ConfigurationError(f"monitor recent_events must be positive, got {recent_events}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ConfigurationError(f"monitor ewma_alpha must be in (0, 1], got {ewma_alpha}")
         self._telemetry = telemetry
         self._status_path = Path(status_path) if status_path is not None else None
         self._requested_port = port
@@ -150,8 +145,7 @@ class RunMonitor:
         self._total = total
         self._done_metrics = tuple(done_metrics)
         self._best_metric = best_metric
-        self._ewma_alpha = ewma_alpha
-        self._events: deque[dict[str, Any]] = deque(maxlen=recent_events)
+        self._events: deque[dict[str, Any]] = deque(maxlen=RECENT_EVENTS)
         self._events_lock = threading.Lock()
         # One pinned bound method: taps detach by identity, and accessing
         # ``self._observe_event`` twice yields two distinct method objects.
@@ -276,9 +270,7 @@ class RunMonitor:
                 if self._ewma_rate is None:
                     self._ewma_rate = rate
                 else:
-                    self._ewma_rate = (
-                        self._ewma_alpha * rate + (1.0 - self._ewma_alpha) * self._ewma_rate
-                    )
+                    self._ewma_rate = EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * self._ewma_rate
         self._last_tick = now
         self._last_done = done
 

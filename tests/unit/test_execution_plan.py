@@ -2,10 +2,9 @@
 
 Pins the three contracts of the API redesign:
 
-- :class:`~repro.engine.plan.ExecutionPlan` is a frozen, validated,
-  JSON-round-trippable value — the one serializable spelling of "how should
-  this execute" shared by the Python API, the CLI, and the service wire
-  schema.
+- :class:`~repro.engine.plan.ExecutionPlan` is a frozen, validated value —
+  the one spelling of "how should this execute" shared by the Python API and
+  the CLI.
 - Every public entry point (:func:`run_trials`, :func:`run_reduced_trials`,
   :class:`CampaignRunner`, :class:`StrategySearch`,
   :meth:`SearchObjective.evaluate`) takes ``plan=`` (plus ``pool=`` for a
@@ -15,8 +14,8 @@ Pins the three contracts of the API redesign:
 
 from __future__ import annotations
 
+import importlib
 import inspect
-import json
 import warnings
 
 import pytest
@@ -27,7 +26,7 @@ from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
 import repro.engine.plan as plan_module
-from repro.engine.plan import AUTO, PLAN_SCHEMA, ExecutionPlan, choose_workers
+from repro.engine.plan import AUTO, ExecutionPlan, choose_workers
 from repro.engine.pool import ExecutionPool
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.simulator import SimulationConfig
@@ -53,26 +52,11 @@ def small_config() -> SimulationConfig:
 
 
 class TestExecutionPlanValue:
-    def test_json_round_trip_is_identity(self):
-        plan = ExecutionPlan(
-            workers=4,
-            pool_chunk=2,
-            batch=True,
-            telemetry_events="events.jsonl",
-            telemetry_rotate_bytes=1_000_000,
-            metrics_out="metrics.json",
-        )
-        assert ExecutionPlan.from_json(plan.to_json()) == plan
-        assert ExecutionPlan.from_dict(plan.to_dict()) == plan
-
     def test_default_plan_is_serial(self):
         plan = ExecutionPlan()
         assert not plan.parallel
         assert plan.workers == 1
         assert plan.pool() is None
-
-    def test_dict_form_is_schema_tagged(self):
-        assert ExecutionPlan().to_dict()["schema"] == PLAN_SCHEMA
 
     def test_serial_keeps_batch_drops_dispatch(self):
         plan = ExecutionPlan(workers=8, pool_chunk=4, batch=True)
@@ -97,29 +81,11 @@ class TestExecutionPlanValue:
         with pytest.raises(ConfigurationError):
             ExecutionPlan(**kwargs)
 
-    def test_from_dict_rejects_unknown_schema(self):
-        data = ExecutionPlan().to_dict()
-        data["schema"] = "repro.execution-plan/v999"
-        with pytest.raises(ConfigurationError, match="schema"):
-            ExecutionPlan.from_dict(data)
-
-    def test_from_dict_rejects_unknown_fields(self):
-        data = ExecutionPlan().to_dict()
-        data["wrokers"] = 4
-        with pytest.raises(ConfigurationError, match="wrokers"):
-            ExecutionPlan.from_dict(data)
-
-    def test_from_json_rejects_malformed_text(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionPlan.from_json("{not json")
-
 
 class TestAutoPlan:
-    def test_auto_round_trips_through_json(self):
+    def test_auto_plan_starts_serial(self):
         plan = ExecutionPlan(workers=AUTO, pool_chunk=2)
         assert plan.auto and not plan.parallel and plan.worker_count == 1
-        assert json.loads(plan.to_json())["workers"] == "auto"
-        assert ExecutionPlan.from_json(plan.to_json()) == plan
         assert plan.pool() is None
         assert plan.describe().startswith("auto workers")
 
@@ -192,6 +158,17 @@ class TestOneExecutionSurface:
         parameters = inspect.signature(api).parameters
         assert "plan" in parameters
         assert not {"workers", "pool_chunk", "batch"} & set(parameters)
+
+    def test_the_campaign_service_and_the_plan_wire_format_are_gone(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(".service", package="repro")
+        for command in ("serve", "client"):
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args([command])
+            assert exited.value.code == 2
+        assert not hasattr(ExecutionPlan, "to_json")
 
     def test_plan_spelling_is_warning_free(self, tmp_path):
         with warnings.catch_warnings():
@@ -300,16 +277,3 @@ def _search_spec(name: str) -> SearchSpec:
         generations=1,
         master_seed=0,
     )
-
-
-class TestPlanOnTheWire:
-    """The plan travels inside service job requests byte-for-byte."""
-
-    def test_job_request_embeds_the_plan_json(self):
-        from repro.service import JobRequest
-
-        plan = ExecutionPlan(workers=2, pool_chunk=2, batch=True)
-        request = JobRequest.for_campaign(_campaign_spec("wire"), store="s.sqlite", plan=plan)
-        wire = json.loads(request.to_json())
-        assert wire["plan"] == plan.to_dict()
-        assert JobRequest.from_json(request.to_json()).plan == plan

@@ -44,14 +44,17 @@ from repro.exceptions import ConfigurationError
 from repro.params import ModelParameters
 from repro.protocols.registry import protocol_factory
 from repro.telemetry import TELEMETRY_OFF, Telemetry
-from repro.telemetry.events import JsonlSink
+from repro.telemetry.events import JsonlSink, RunStarted
 from repro.telemetry.export import registry_snapshot
 from repro.telemetry.metrics import (
     WORKER_SECONDS_BUCKETS,
     MetricsRegistry,
     WorkerStatsDelta,
 )
+import repro.telemetry.monitor as monitor_module
 from repro.telemetry.monitor import (
+    EWMA_ALPHA,
+    RECENT_EVENTS,
     STATUS_SCHEMA,
     RunMonitor,
     read_status,
@@ -317,6 +320,39 @@ class TestRunMonitor:
             RunMonitor(telemetry, status_path=path, interval=0)
         with pytest.raises(ConfigurationError, match="total"):
             RunMonitor(telemetry, status_path=path, total=-1)
+
+    @pytest.mark.parametrize("option", [{"recent_events": 8}, {"ewma_alpha": 0.5}])
+    def test_event_window_and_smoothing_are_not_options(self, tmp_path, option):
+        with pytest.raises(TypeError):
+            RunMonitor(Telemetry(), status_path=tmp_path / "status.json", **option)
+
+    def test_recent_events_keep_the_latest_window(self, tmp_path):
+        telemetry = Telemetry()
+        with RunMonitor(telemetry, status_path=tmp_path / "s.json", interval=5.0) as monitor:
+            for trials in range(RECENT_EVENTS + 5):
+                telemetry.emit(RunStarted(
+                    protocol="trapdoor", workload="quiet_start",
+                    trials=trials, workers=1, batch=False,
+                ))
+            recent = monitor.status()["recent_events"]
+        assert [record["trials"] for record in recent] == list(range(5, RECENT_EVENTS + 5))
+
+    def test_throughput_is_an_ewma_of_per_tick_rates(self, tmp_path, monkeypatch):
+        clock = {"now": 0.0}
+        monkeypatch.setattr(monitor_module, "time", type("Clock", (), {
+            "monotonic": staticmethod(lambda: clock["now"]),
+            "time": staticmethod(lambda: 0.0),
+        }))
+        telemetry = Telemetry()
+        committed = telemetry.counter("campaign.cells_committed")
+        monitor = RunMonitor(telemetry, status_path=tmp_path / "s.json", interval=5.0)
+        monitor._last_tick, monitor._last_done = 0.0, 0.0
+        for now, cells in ((1.0, 10), (2.0, 20)):  # 10 cells/s, then 20 cells/s
+            clock["now"] = now
+            committed.inc(cells)
+            monitor._update_throughput()
+        rate = monitor.status()["throughput"]["ewma_per_s"]
+        assert rate == pytest.approx(EWMA_ALPHA * 20.0 + (1.0 - EWMA_ALPHA) * 10.0)
 
     def test_status_document_shape_and_progress(self, tmp_path):
         telemetry = self._live_telemetry()

@@ -20,7 +20,6 @@ LAZY_PACKAGES = (
     "repro.engine",
     "repro.experiments",
     "repro.search",
-    "repro.service",
 )
 
 
@@ -59,11 +58,10 @@ def test_readme_import_lines():
     from repro.campaigns import aggregate
     from repro.campaigns.query import aggregate as defined_aggregate
     from repro.engine import SimulationConfig, TraceLevel, run_trials, simulate
-    from repro.service import JobRequest
 
     assert aggregate is defined_aggregate
     assert simulate.__module__ == "repro.engine.simulator"
     assert run_trials.__module__ == "repro.engine.runner"
     for cls in (CampaignRunner, ResultStore, SearchObjective, StrategySearch,
-                SimulationConfig, TraceLevel, JobRequest):
+                SimulationConfig, TraceLevel):
         assert isinstance(cls, type)

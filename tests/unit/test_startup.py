@@ -20,7 +20,6 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 #: Modules a plain ``campaign run`` (and ``import repro.cli``) must not load.
 NOT_AT_STARTUP = (
     "numpy",
-    "repro.service",
     "repro.bench",
     "repro.telemetry.monitor",
     "repro.search.runner",
